@@ -30,7 +30,7 @@ from . import __version__
 from .densities import GaussianModel, TensorPower
 from .diagnostics import GaussianBumpFn, bl_distance, weak_form_residual
 from .dynamics import SimConfig, run
-from .errors import BlowupError, ConfigError
+from .errors import BlowupError, ConfigError, DegenerateCloudError
 from .estimators import EmpiricalMeasure, knn_entropy, pair_inverse_square
 from .functionals import (MCSpec, entropy, entropy_production_D, fisher_information,
                           J_functional, k_family)
@@ -44,7 +44,7 @@ __all__ = ["main"]
 def _pair_observer(state):
     try:
         val = pair_inverse_square(EmpiricalMeasure(state.v))
-    except Exception:
+    except DegenerateCloudError:
         val = float("nan")
     return {"pair_inv_sq": val}
 

@@ -38,7 +38,6 @@ class DensityModel:
     """Base class; concrete models fill in the capability methods."""
 
     dim: int
-    normalization: str = "analytic"
 
     def density(self, X):
         return np.exp(self.log_density(X))

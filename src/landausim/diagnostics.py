@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensityModel, grid_integrate
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _pair_blocks
 from .errors import ConfigError, StrideError
 from .estimators import EmpiricalMeasure
 from .potentials import alpha_bare
@@ -317,21 +317,21 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
     for m in range(idx + 1):
         v = traj.snapshots[m].v
         n = v.shape[0]
-        iu, ju = np.triu_indices(n, k=1)
-        z = v[iu] - v[ju]
-        r2 = np.einsum("pc,pc->p", z, z)
-        keep = r2 > 0.0
-        z, r2 = z[keep], r2[keep]
-        alpha = alpha_bare(gamma, np.sqrt(r2))
         g = phi.grad(v)
         h = phi.hess(v)
-        gdiff = g[iu][keep] - g[ju][keep]
-        term_b = -2.0 * np.sum(alpha * np.einsum("pc,pc->p", z, gdiff))
-        tr_h = np.trace(h, axis1=1, axis2=2)
-        zhz_i = np.einsum("pc,pcd,pd->p", z, h[iu][keep], z)
-        zhz_j = np.einsum("pc,pcd,pd->p", z, h[ju][keep], z)
-        term_a = np.sum(alpha * (r2 * (tr_h[iu][keep] + tr_h[ju][keep])
-                                 - zhz_i - zhz_j))
+        term_b = term_a = 0.0
+        for _, iu, ju in _pair_blocks(n):
+            z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
+            r2 = np.einsum("pc,pc->p", z, z)
+            keep = r2 > 0.0
+            iu, ju, z, r2 = iu[keep], ju[keep], z[keep], r2[keep]
+            alpha = alpha_bare(gamma, np.sqrt(r2))
+            gd = np.take(g, iu, axis=0) - np.take(g, ju, axis=0)
+            term_b -= 2.0 * np.sum(alpha * np.einsum("pc,pc->p", z, gd))
+            hs = np.take(h, iu, axis=0)
+            hs += np.take(h, ju, axis=0)
+            zhz = np.einsum("pc,pcd,pd->p", z, hs, z)
+            term_a += np.sum(alpha * (r2 * np.einsum("pcc->p", hs) - zhz))
         # term_b and term_a already hold the ordered-pair sums of the
         # gradient and Hessian contributions; the gradient bracket is applied
         # per ordered pair, so it alone picks up a second factor of two

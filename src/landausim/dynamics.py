@@ -16,7 +16,8 @@ energy_mode="rescale" removes by an affine rescaling about the mean.
 Noise is counter-based: step s of a run with seed q draws all N(N-1)/2 pair
 increments as one array from Philox keyed by (q, "pair", s), in upper-triangle
 rank order, so the increment of NoiseKey(q, s, i, j) is a pure function of the
-key and trajectories are reproducible bit for bit.
+key and trajectories are reproducible bit for bit.  The step (and every other
+pair sweep) walks the pairs in row blocks of that same rank order.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ __all__ = [
 
 _DOMAIN_INIT = 0x696E6974   # "init"
 _DOMAIN_PAIR = 0x70616972   # "pair"
-
-_TRIU_CACHE: dict = {}
-
-
-def _triu(n: int):
-    if n not in _TRIU_CACHE:
-        _TRIU_CACHE[n] = np.triu_indices(n, k=1)
-    return _TRIU_CACHE[n]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -166,6 +158,19 @@ class NoiseKey:
         return pair_noise(self.seed, self.step_index, n, dt)[self.row_index(n)]
 
 
+_PAIR_BLOCK = 1 << 16
+
+
+def _pair_blocks(n: int):
+    """Yield (lo, iu, ju): the pairs i < j of one block of whole rows, in rank
+    order, with lo the rank of the first pair.  A block holds at most
+    max(_PAIR_BLOCK, n - 1) pairs."""
+    rows = max(1, _PAIR_BLOCK // (n - 1))
+    for i0 in range(0, n - 1, rows):
+        iu, ju = np.triu_indices(min(rows, n - 1 - i0), k=1, m=n - i0)
+        yield i0 * n - i0 * (i0 + 1) // 2, iu + i0, ju + i0
+
+
 def pair_noise(seed: int, step_index: int, n: int, dt: float) -> np.ndarray:
     """All pair increments of one step, shape (n(n-1)/2, 3), in rank order."""
     n_pairs = n * (n - 1) // 2
@@ -206,28 +211,30 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
         pot = config.potential()
     v = state.v
     n = v.shape[0]
-    iu, ju = _triu(n)
-    z = v[iu] - v[ju]
-    r2 = np.einsum("pc,pc->p", z, z)
-    r = np.sqrt(r2)
-    alpha = alpha_reg(pot, r)
-
     if noise is None:
         noise = pair_noise(config.seed, state.step_index, n, config.dt)
-    # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(r > 0.0, np.sqrt(alpha) / r, 0.0)
-    zdb = np.einsum("pc,pc->p", z, noise)
+    noise = noise.reshape(n * (n - 1) // 2, 3)  # rejects an override of the wrong size
     w_noise = math.sqrt(2.0 / (n - 1))
     w_drift = -4.0 * config.dt / (n - 1)
-    pair_term = noise * (w_noise * coef * r2)[:, None]
-    pair_term += z * (w_drift * alpha - w_noise * coef * zdb)[:, None]
-
-    acc = np.empty_like(v)
-    for c in range(3):
-        acc[:, c] = (np.bincount(iu, weights=pair_term[:, c], minlength=n)
-                     - np.bincount(ju, weights=pair_term[:, c], minlength=n))
-    v_new = v + acc
+    # each side adds in rank order, as one bincount over all pairs would
+    acc_i = np.zeros_like(v)
+    acc_j = np.zeros_like(v)
+    for lo, iu, ju in _pair_blocks(n):
+        db = noise[lo:lo + iu.size]
+        z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
+        r2 = np.einsum("pc,pc->p", z, z)
+        r = np.sqrt(r2)
+        alpha = alpha_reg(pot, r)
+        # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where(r > 0.0, np.sqrt(alpha) / r, 0.0)
+        zdb = np.einsum("pc,pc->p", z, db)
+        pair_term = db * (w_noise * coef * r2)[:, None]
+        pair_term += z * (w_drift * alpha - w_noise * coef * zdb)[:, None]
+        for c in range(3):
+            np.add.at(acc_i[:, c], iu, pair_term[:, c])
+            np.add.at(acc_j[:, c], ju, pair_term[:, c])
+    v_new = v + (acc_i - acc_j)
 
     if config.energy_mode == "rescale":
         if e_target is None:

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from .dynamics import _pair_blocks
 from .errors import ConfigError, DegenerateCloudError
 
 __all__ = ["EmpiricalMeasure", "moments", "pair_inverse_square", "knn_entropy"]
@@ -62,17 +63,9 @@ def pair_inverse_square(mu: EmpiricalMeasure, return_excluded: bool = False):
     total = 0.0
     kept = 0
     excluded = 0
-    chunk = max(1, int(2e6) // max(n, 1))
-    for start in range(0, n - 1, chunk):
-        stop = min(start + chunk, n - 1)
-        block = v[start:stop, None, :] - v[None, stop:, :]  # rows i, cols j > i span
-        # pairs (i, j) with i in [start, stop) and j > i: split into the
-        # rectangle against v[stop:] plus the in-block upper triangle
-        d2 = np.sum(block * block, axis=2).ravel()
-        tri = v[start:stop, None, :] - v[None, start:stop, :]
-        iu = np.triu_indices(stop - start, k=1)
-        d2_tri = np.sum(tri * tri, axis=2)[iu]
-        d2 = np.concatenate([d2, d2_tri])
+    for _, iu, ju in _pair_blocks(n):
+        z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
+        d2 = np.sum(z * z, axis=1)
         good = d2 >= _PAIR_CUTOFF**2
         excluded += int(np.sum(~good))
         kept += int(np.sum(good))

@@ -78,7 +78,6 @@ class FunctionalEstimate:
     method: str
     n: int
     n_rejected: int = 0
-    error_multiplier: float = 1.0
 
 
 def gaussian_entropy(sigma2, dim: int = 3) -> float:

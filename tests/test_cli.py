@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landausim.cli import main
+from landausim import cli as cli_module
+from landausim.cli import _pair_observer, main
+from landausim.dynamics import ParticleState
 from landausim.reference import maxwellian_entropy
 
 
@@ -84,6 +86,19 @@ def test_simulate_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "n_partycles": 8}))
     assert cli("simulate", "--config", cfg, "--out", tmp_path / "r") == 2
     assert "n_partycles" in capsys.readouterr().err
+
+
+def test_pair_observer_nan_only_for_degenerate_cloud(monkeypatch):
+    row = _pair_observer(ParticleState(np.ones((6, 3))))  # every pair coincident
+    assert list(row) == ["pair_inv_sq"] and np.isnan(row["pair_inv_sq"])
+    assert _pair_observer(ParticleState(np.eye(3)))["pair_inv_sq"] == 0.5
+
+    def broken(mu):
+        raise ValueError("not a degenerate cloud")
+
+    monkeypatch.setattr(cli_module, "pair_inverse_square", broken)
+    with pytest.raises(ValueError):
+        _pair_observer(ParticleState(np.eye(3)))
 
 
 # ---------------------------------------------------------------------------

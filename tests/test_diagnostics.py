@@ -200,6 +200,16 @@ def test_weak_residual_gamma_override(residual_traj):
     assert a == b
 
 
+def test_weak_residual_does_not_depend_on_pair_block(residual_traj, monkeypatch):
+    import landausim.dynamics as dynamics
+    phis = [GaussianBumpFn([0.3, 0.0, -0.2], 1.0, 0.5),
+            QuadraticFn([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, -1.0]])]
+    one = [weak_form_residual(residual_traj, phi, 0.1) for phi in phis]
+    monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 100)  # 24 blocks of 2 rows at N = 48
+    many = [weak_form_residual(residual_traj, phi, 0.1) for phi in phis]
+    assert many == pytest.approx(one, rel=1e-12, abs=1e-15)
+
+
 def test_weak_residual_stride_errors(residual_traj):
     phi = ConstantFn()
     with pytest.raises(StrideError):

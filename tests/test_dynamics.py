@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from landausim.densities import GaussianModel
+import landausim.dynamics as dynamics
 from landausim.dynamics import (NoiseKey, ParticleState, SimConfig,
                                 Trajectory, conserved_quantities, init_iid,
                                 pair_noise, run, step)
@@ -86,6 +88,25 @@ def test_rank_matches_triu_enumeration():
     iu, ju = np.triu_indices(n, k=1)
     for rank, (i, j) in enumerate(zip(iu, ju)):
         assert NoiseKey(0, 0, int(i), int(j)).row_index(n) == rank
+
+
+@pytest.mark.parametrize("block", [1, 5, 100, None])
+@pytest.mark.parametrize("n", [2, 3, 7, 300, 1025])
+def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(dynamics, "_PAIR_BLOCK", block)
+    cap = max(dynamics._PAIR_BLOCK, n - 1)
+    blocks = list(dynamics._pair_blocks(n))
+    iu, ju = np.triu_indices(n, k=1)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), iu)
+    np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), ju)
+    expect_lo = 0
+    for lo, bi, bj in blocks:
+        assert 0 < bi.size <= cap
+        assert lo == expect_lo  # rank offsets are contiguous
+        assert NoiseKey(0, 0, int(bi[0]), int(bj[0])).row_index(n) == lo
+        expect_lo += bi.size
+    assert expect_lo == n * (n - 1) // 2
 
 
 def test_pair_noise_shape_determinism_and_scale():
@@ -289,3 +310,33 @@ def test_run_rescale_keeps_initial_energy():
     traj = run(cfg)
     e = [row["energy"] for row in traj.diagnostics]
     assert max(abs(x - e[0]) for x in e) <= 1e-12 * e[0]
+
+
+# ---------------------------------------------------------------------------
+# Seeded-output digests: any change to the step's arithmetic or summation
+# order shows up here.  A change that moves results on purpose updates the
+# digest and says why.
+
+_DIGEST_CONFIGS = [
+    (dict(n_particles=64, gamma=0.0, dt=1e-2, t_end=0.1, seed=1, eta=0.5),
+     "dc34ff8a8e7e44273eeeeb6aaa996bff"
+     "db9bc5936c32f69ebbd392f0c3ddd663"),
+    # N = 400 has 79 800 pairs: the step walks more than one row block
+    (dict(n_particles=400, gamma=-2.0, dt=1e-3, t_end=0.005, seed=2,
+          energy_mode="rescale"),
+     "2fa9bb788d6e69a8ae2827e12cc9a1d6"
+     "1b4b916f687b653803b275498de099b1"),
+    (dict(n_particles=130, gamma=-3.0, dt=1e-3, t_end=0.01, seed=3),
+     "0d87e65770371858244518026beab7e2"
+     "fc0fa3cd164b63d2ef038dbb97921704"),
+]
+
+
+@pytest.mark.parametrize("kw, digest", _DIGEST_CONFIGS,
+                         ids=["gamma0", "gamma-2", "gamma-3"])
+def test_seeded_final_snapshot_digest(kw, digest):
+    cfg = SimConfig(snapshot_stride=1000, **kw)
+    final = run(cfg).snapshots[-1]
+    assert final.step_index == cfg.n_steps
+    got = hashlib.sha256(final.v.astype("<f8").tobytes()).hexdigest()
+    assert got == digest

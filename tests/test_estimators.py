@@ -61,13 +61,22 @@ def test_pair_statistic_matches_pdist(rng):
         expect, rel=1e-12)
 
 
-def test_pair_statistic_chunking_invariance(rng):
-    # the chunked accumulation must not depend on the block size
+def test_pair_statistic_chunking_invariance(rng, monkeypatch):
+    # the blocked accumulation must not depend on the block size
     v = rng.normal(size=(700, 3))
-    a = pair_inverse_square(EmpiricalMeasure(v))
+    import landausim.dynamics as dynamics
     import landausim.estimators as est
+    monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 10**6)
+    assert len(list(dynamics._pair_blocks(700))) == 1
+    one = pair_inverse_square(EmpiricalMeasure(v), return_excluded=True)
+    monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 1000)
+    assert len(list(dynamics._pair_blocks(700))) > 100
+    many = pair_inverse_square(EmpiricalMeasure(v), return_excluded=True)
+    assert one[1] == many[1] == 0
+    assert many[0] == pytest.approx(one[0], rel=1e-12)
     d2 = pdist(v, "sqeuclidean")
-    assert a == pytest.approx(float(np.mean(1.0 / d2)), rel=1e-12)
+    for a, _ in (one, many):
+        assert a == pytest.approx(float(np.mean(1.0 / d2)), rel=1e-12)
     assert est._PAIR_CUTOFF == 1e-14
 
 
