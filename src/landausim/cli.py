@@ -101,13 +101,15 @@ def _cmd_functionals(args) -> int:
         emit("H", entropy(model))
     if "I" in which:
         emit("I", fisher_information(model))
-    if "D" in which:
-        emit("D", entropy_production_D(pair, pot, mc))
-    if "J" in which:
-        emit("J", J_functional(pair, pot, mc))
-    if "K" in which:
+    fam = None
+    if "K" in which:  # one sample batch serves D, J and K_beta
         betas = [float(b) for b in args.beta.split(",") if b.strip()]
         fam = k_family(pair, betas, pot, mc)
+    if "D" in which:
+        emit("D", fam.D if fam is not None else entropy_production_D(pair, pot, mc))
+    if "J" in which:
+        emit("J", fam.J if fam is not None else J_functional(pair, pot, mc))
+    if fam is not None:
         for b in betas:
             emit("K_beta", fam.estimates[b], beta=b)
     return 0

@@ -15,6 +15,7 @@ Models are normalized analytically (Gaussians, mixtures) and wrappers
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,16 +88,15 @@ class GaussianModel(DensityModel):
 
     def log_density(self, X):
         d = np.atleast_2d(X) - self.mean
-        q = np.einsum("ni,ij,nj->n", d, self.prec, d)
+        q = np.einsum("ni,ni->n", d @ self.prec, d)
         return self._log_norm - 0.5 * q
 
     def log_grad(self, X):
-        d = np.atleast_2d(X) - self.mean
-        return -d @ self.prec
+        return (self.mean - np.atleast_2d(X)) @ self.prec
 
     def log_hess_quadform(self, X, U):
         U = np.atleast_2d(U)
-        return -np.einsum("ni,ij,nj->n", U, self.prec, U)
+        return -np.einsum("ni,ni->n", U @ self.prec, U)
 
     def sample(self, rng, n):
         return self.mean + rng.standard_normal((n, self.dim)) @ self._chol.T
@@ -151,7 +151,7 @@ class GaussianMixtureModel(DensityModel):
         quad = np.zeros(X.shape[0])
         for ri, c in zip(r, self.components):
             gi_u = np.einsum("nd,nd->n", c.log_grad(X), U)
-            pu = np.einsum("ni,ij,nj->n", U, c.prec, U)
+            pu = np.einsum("ni,ni->n", U @ c.prec, U)
             quad += ri * (gi_u**2 - pu)
             gbar_u += ri * gi_u
         return quad - gbar_u**2
@@ -263,8 +263,9 @@ class ShiftedModel(DensityModel):
 def grid_integrate(fn, lo, hi, n_points, chunk: int = 2**20):
     """Trapezoid rule for int fn over the box [lo, hi] on a tensor grid.
 
-    fn maps (m, dim) points to (m,) values.  Evaluation is chunked so the full
-    point array never needs to be materialized at once for fine grids.
+    fn maps (m, dim) points to (m,) values.  Evaluation runs over whole slabs
+    of the leading axis, as many as fit in ``chunk`` points (at least one), so
+    the full point array never needs to be materialized at once for fine grids.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -278,15 +279,14 @@ def grid_integrate(fn, lo, hi, n_points, chunk: int = 2**20):
         w[0] *= 0.5
         w[-1] *= 0.5
         wts.append(w)
-    shape = tuple(n_points)
-    total_pts = int(np.prod(shape))
+    slab = math.prod(n_points[1:])
+    rows = max(1, chunk // slab)
     acc = 0.0
-    for start in range(0, total_pts, chunk):
-        idx = np.unravel_index(np.arange(start, min(start + chunk, total_pts)), shape)
-        pts = np.stack([axes[d][idx[d]] for d in range(dim)], axis=1)
-        w = np.ones(pts.shape[0])
-        for d in range(dim):
-            w *= wts[d][idx[d]]
+    for start in range(0, n_points[0], rows):
+        lead = slice(start, start + rows)
+        grids = np.meshgrid(axes[0][lead], *axes[1:], indexing="ij", copy=False)
+        pts = np.stack(grids, axis=-1).reshape(-1, dim)
+        w = functools.reduce(np.multiply.outer, wts[1:], wts[0][lead]).ravel()
         acc += float(np.dot(w, fn(pts)))
     return acc
 

@@ -14,7 +14,12 @@ through repeated applications because bt_k . grad w = 0.  Writing
     u1_k = bt_k . grad log F,
     u2_k = bt_k^T Hess(log F) bt_k + ((bt_k . grad) bt_k) . grad log F,
 
-one has d_k F / F = w u1_k and d_k d_k F / F = w^2 (u1_k^2 + u2_k), and
+one has d_k F / F = w u1_k and d_k d_k F / F = w^2 (u1_k^2 + u2_k).  With
+g = (grad_1 - grad_2) log F, u1_k = b_k . g = (z x g)_k and the curvature term
+is 2 (e_k x b_k) . g = 2 (z_k g_k - z . g) = -2 sum_{c != k} z_c g_c, summed
+over the two other components in index order: on a Maxwellian of dyadic
+temperature T, g = -z/T exactly, so that sum cancels the Hessian term bit for
+bit and D, J, K are exactly 0 (the difference form leaves ~1e-31).  Then
 
 * entropy production  D(F) = 1/2 int alpha(|z|) sum_k u1_k^2 F
 * dissipation family  K_beta(F) = beta^{-2} int F^{1-2beta} (d_k d_k F^beta)^2
@@ -37,7 +42,7 @@ import numpy as np
 
 from .densities import DensityModel, TensorPower, grid_integrate
 from .errors import CapabilityError, CoverageError
-from .potentials import PotentialSpec, alpha_bare, alpha_reg, cross_kernels
+from .potentials import PotentialSpec, alpha_bare, alpha_reg
 
 __all__ = [
     "MCSpec",
@@ -57,7 +62,6 @@ __all__ = [
 
 _SINGULAR_CUTOFF = 1e-12
 _EPS_FLOOR = 1e-30
-_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -99,16 +103,12 @@ def _grid_functional(model: DensityModel, integrand, n_points: int, tail_mass: f
         n += 1  # odd point count so the half-resolution subgrid shares endpoints
     lo, hi = model.bounding_box(tail_mass)
 
-    def run(npts):
-        mass = grid_integrate(model.density, lo, hi, npts)
-        val = grid_integrate(integrand, lo, hi, npts)
-        return mass, val
-
-    mass, val = run(n)
+    mass = grid_integrate(model.density, lo, hi, n)
     if abs(mass - 1.0) > 1e-6:
         raise CoverageError(
             f"quadrature mass {mass:.8f} off from 1; widen the grid or add points")
-    _, val_coarse = run(n // 2 + 1)
+    val = grid_integrate(integrand, lo, hi, n)
+    val_coarse = grid_integrate(integrand, lo, hi, n // 2 + 1)
     err = abs(val - val_coarse) + 2.0 * tail_mass * max(1.0, abs(val))
     return val, err, n**model.dim
 
@@ -142,6 +142,13 @@ def fisher_information(model: DensityModel, n_points: int = 129,
     return FunctionalEstimate(val, err, "grid", n)
 
 
+def _mc_estimate(per_sample, n_rejected: int) -> FunctionalEstimate:
+    """Sample mean with one standard error."""
+    se = float(np.std(per_sample, ddof=1) / math.sqrt(per_sample.size))
+    return FunctionalEstimate(float(np.mean(per_sample)), se, "mc",
+                              per_sample.size, n_rejected)
+
+
 def _alpha_of(pot, r):
     """Interaction strength for a PotentialSpec (regularized) or float gamma (bare)."""
     if isinstance(pot, PotentialSpec):
@@ -163,54 +170,48 @@ class _PairBatch:
         r = np.sqrt(np.sum(z * z, axis=1))
         keep = r >= _SINGULAR_CUTOFF
         self.n_rejected = int(np.sum(~keep))
-        X, z, r = X[keep], z[keep], r[keep]
+        if self.n_rejected:
+            X, z, r = X[keep], z[keep], r[keep]
         self.n = X.shape[0]
         self.r = r
         self.alpha = _alpha_of(pot, r)
         self.w4 = self.alpha / (r * r)
-        self.k_set = tuple(k_set)
+        self.cols = list(k_set)                   # the k summed over in D, J, K
 
-        B = cross_kernels(z)                      # (n, k, 3)
         grad = model.log_grad(X)
-        gdiff = grad[:, 0:3] - grad[:, 3:6]
-        self.u1 = np.einsum("nkc,nc->nk", B, gdiff)
+        g = grad[:, 0:3] - grad[:, 3:6]
+        self.u1 = np.cross(z, g)                  # u1_k = b_k . g = (z x g)_k
         if need_second:
             u2 = np.zeros_like(self.u1)
-            U = np.zeros((self.n, model.dim))
-            for k in self.k_set:
-                U[:] = 0.0
-                U[:, 0:3] = B[:, k, :]
-                U[:, 3:6] = -B[:, k, :]
-                quad = model.log_hess_quadform(X, U)
-                curv = 2.0 * np.einsum("nc,nc->n", np.cross(_EYE3[k], B[:, k, :]), gdiff)
-                u2[:, k] = quad + curv
+            # (b_k, -b_k), later blocks 0; column-major so fills write columns
+            U = np.zeros((model.dim, self.n)).T
+            for k in self.cols:
+                a, b = (k + 1) % 3, (k + 2) % 3
+                U[:, k], U[:, a], U[:, b] = 0.0, -z[:, b], z[:, a]  # b_k = e_k x z
+                np.negative(U[:, 0:3], out=U[:, 3:6])
+                curv = -2.0 * sum(z[:, c] * g[:, c] for c in range(3) if c != k)
+                u2[:, k] = model.log_hess_quadform(X, U) + curv
             self.u2 = u2
         else:
             self.u2 = None
 
     def mean_se(self, per_sample) -> FunctionalEstimate:
-        value = float(np.mean(per_sample))
-        se = float(np.std(per_sample, ddof=1) / math.sqrt(self.n))
-        return FunctionalEstimate(value, se, "mc", self.n, self.n_rejected)
+        return _mc_estimate(per_sample, self.n_rejected)
 
     def d_samples(self):
-        cols = list(self.k_set)
-        return 0.5 * self.alpha * np.sum(self.u1[:, cols] ** 2, axis=1)
+        return 0.5 * self.alpha * np.sum(self.u1[:, self.cols] ** 2, axis=1)
 
     def j_samples(self):
-        cols = list(self.k_set)
-        return self.w4 * np.sum(self.u1[:, cols] ** 4, axis=1)
+        return self.w4 * np.sum(self.u1[:, self.cols] ** 4, axis=1)
 
     def k_samples(self, beta: float):
-        cols = list(self.k_set)
-        core = self.u2[:, cols] + beta * self.u1[:, cols] ** 2
+        core = self.u2[:, self.cols] + beta * self.u1[:, self.cols] ** 2
         return self.w4 * np.sum(core * core, axis=1)
 
     def ibp_lhs_samples(self):
         # int (dd F)(d F)^2 / F^2 = int F w^4 u1^2 (u1^2 + u2)
-        cols = list(self.k_set)
-        u1sq = self.u1[:, cols] ** 2
-        return self.w4 * np.sum(u1sq * (u1sq + self.u2[:, cols]), axis=1)
+        u1sq = self.u1[:, self.cols] ** 2
+        return self.w4 * np.sum(u1sq * (u1sq + self.u2[:, self.cols]), axis=1)
 
 
 def entropy_production_D(model: DensityModel, pot, mc: MCSpec,
@@ -243,7 +244,7 @@ def dissipation_K(model: DensityModel, beta: float, pot, mc: MCSpec,
 
 @dataclass
 class KFamilyResult:
-    """Shared-sample estimates of the K_beta family plus J.
+    """Shared-sample estimates of the K_beta family plus J and D.
 
     residual(beta) returns the estimate of K_beta - K_{1/3} - (beta-1/3)^2 J,
     whose exact value is 0; its standard error is computed on the combined
@@ -252,6 +253,7 @@ class KFamilyResult:
 
     estimates: dict
     J: FunctionalEstimate
+    D: FunctionalEstimate
     n: int
     n_rejected: int
     _samples: dict = field(repr=False, default_factory=dict)
@@ -259,21 +261,16 @@ class KFamilyResult:
     def residual(self, beta: float, anchor: float = 1.0 / 3.0) -> FunctionalEstimate:
         arr = (self._samples[beta] - self._samples[anchor]
                - (beta - anchor) ** 2 * self._samples["J"])
-        value = float(np.mean(arr))
-        se = float(np.std(arr, ddof=1) / math.sqrt(self.n))
-        return FunctionalEstimate(value, se, "mc", self.n, self.n_rejected)
+        return _mc_estimate(arr, self.n_rejected)
 
     def difference(self, a, b) -> FunctionalEstimate:
         """Shared-sample estimate of K_a - K_b (a, b in the beta set or 'J')."""
-        arr = self._samples[a] - self._samples[b]
-        value = float(np.mean(arr))
-        se = float(np.std(arr, ddof=1) / math.sqrt(self.n))
-        return FunctionalEstimate(value, se, "mc", self.n, self.n_rejected)
+        return _mc_estimate(self._samples[a] - self._samples[b], self.n_rejected)
 
 
 def k_family(model: DensityModel, betas, pot, mc: MCSpec,
              k_set=(0, 1, 2)) -> KFamilyResult:
-    """Evaluate K_beta for several beta and J on one shared sample set."""
+    """Evaluate K_beta for several beta, J and D on one shared sample set."""
     betas = list(betas)
     if 1.0 / 3.0 not in betas:
         betas.append(1.0 / 3.0)
@@ -282,7 +279,8 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec,
     samples["J"] = batch.j_samples()
     estimates = {beta: batch.mean_se(samples[beta]) for beta in betas}
     return KFamilyResult(estimates=estimates, J=batch.mean_se(samples["J"]),
-                         n=batch.n, n_rejected=batch.n_rejected, _samples=samples)
+                         D=batch.mean_se(batch.d_samples()), n=batch.n,
+                         n_rejected=batch.n_rejected, _samples=samples)
 
 
 def ibp_identity_check(model: DensityModel, pot, mc: MCSpec,
@@ -328,7 +326,7 @@ def beta_power_identity_probes(model: DensityModel, pot, beta: float,
                        k_set=k_set, X=X)
     w2 = np.sqrt(batch.alpha) / batch.r
     worst = 0.0
-    for k in batch.k_set:
+    for k in batch.cols:
         u1, u2 = batch.u1[:, k], batch.u2[:, k]
         sq = w2 * u1 * u1                  # (dF)^2 / F^2 contribution
         mixed = w2 * (u1 * u1 + u2)        # ddF / F contribution

@@ -54,6 +54,18 @@ def test_gaussian_derivatives_fd(rng):
     np.testing.assert_allclose(m.log_hess_quadform(X, U), expect, rtol=1e-13)
 
 
+def test_gaussian_quadratic_forms_full_covariance(rng):
+    cov = np.array([[2.0, 0.3, -0.4], [0.3, 0.5, -0.1], [-0.4, -0.1, 1.0]])
+    m = GaussianModel([0.5, -1.0, 0.2], cov)
+    X = rng.normal(size=(50, 3)) * 3.0
+    U = rng.normal(size=(50, 3))
+    log_norm = -0.5 * (3 * math.log(2 * math.pi) + math.log(np.linalg.det(cov)))
+    for x, u, logf, quad in zip(X, U, m.log_density(X), m.log_hess_quadform(X, U)):
+        d = x - m.mean
+        assert logf == pytest.approx(log_norm - 0.5 * (d @ m.prec @ d), rel=1e-13)
+        assert quad == pytest.approx(-(u @ m.prec @ u), rel=1e-13)
+
+
 def test_gaussian_sampling_moments(rng):
     m = GaussianModel([1.0, -2.0, 0.0], [0.5, 1.0, 2.0])
     X = m.sample(rng, 200_000)
@@ -191,6 +203,38 @@ def test_grid_integrate_chunking_invariance():
     a = grid_integrate(m.density, lo, hi, 41, chunk=2**20)
     b = grid_integrate(m.density, lo, hi, 41, chunk=97)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_grid_integrate_chunking_invariance_3d():
+    # slabs of the leading axis hold 13 * 9 points: a chunk below one slab
+    # and one spanning several both reproduce the one-chunk sum
+    m = GaussianModel([0.2, -0.1, 0.3], [1.5, 0.7, 1.0])
+    lo, hi = m.bounding_box(1e-8)
+    n_points = [11, 13, 9]
+    whole = grid_integrate(m.density, lo, hi, n_points)
+    for chunk in (50, 4 * 13 * 9 + 7):
+        assert grid_integrate(m.density, lo, hi, n_points, chunk=chunk) == \
+            pytest.approx(whole, rel=1e-12)
+    axes = [np.linspace(lo[d], hi[d], n) for d, n in enumerate(n_points)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    wts = [np.full(n, ax[1] - ax[0]) for ax, n in zip(axes, n_points)]
+    for w in wts:
+        w[[0, -1]] *= 0.5
+    w = (wts[0][:, None, None] * wts[1][None, :, None] * wts[2][None, None, :]).ravel()
+    assert whole == pytest.approx(float(np.dot(w, m.density(pts))), rel=1e-12)
+
+
+def test_grid_integrate_1d_chunks():
+    # one-dimensional grids have an empty trailing block; chunks are points
+    def fn(p):
+        return np.exp(-p[:, 0] ** 2)
+
+    whole = grid_integrate(fn, [-2.0], [3.0], 101)
+    for chunk in (1, 7, 100):
+        assert grid_integrate(fn, [-2.0], [3.0], 101, chunk=chunk) == \
+            pytest.approx(whole, rel=1e-12)
+    x = np.linspace(-2.0, 3.0, 101)
+    assert whole == pytest.approx(np.trapezoid(np.exp(-x ** 2), x), rel=1e-12)
 
 
 def test_check_mass_raises_on_bad_box():

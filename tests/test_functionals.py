@@ -1,19 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from landausim.cli import main as cli_main
 from landausim.densities import (GaussianModel, ScaledModel, ShiftedModel,
                                  TensorPower)
 from landausim.errors import CapabilityError
-from landausim.functionals import (MCSpec, J_functional,
+from landausim.functionals import (MCSpec, J_functional, _PairBatch,
                                    beta_power_identity_probes, dissipation_K,
                                    entropy, entropy_production_D,
                                    fisher_information, gaussian_entropy,
                                    gaussian_fisher, ibp_identity_check,
                                    k_family, tensor_consistency_D)
-from landausim.potentials import PotentialSpec
-from landausim.reference import maxwellian
+from landausim.potentials import PotentialSpec, cross_kernels
+from landausim.reference import bimodal, maxwellian
 
 from _oracles import ANISO_GM2, ANISO_GM3
 
@@ -268,3 +270,70 @@ def test_tensor_consistency_rejects_j_one(aniso, pot_gm2):
 def test_pair_functionals_reject_3d_model(aniso, pot_gm2):
     with pytest.raises(CapabilityError):
         J_functional(aniso, pot_gm2, MCSpec(100, 0))
+
+
+# ---------------------------------------------------------------------------
+# Lean pair fields against the stored-kernel formulation
+
+def _stacked_kernel_fields(model, X):
+    """u1, u2 as written with the (n, 3, 3) kernel stack, one zeroed full
+    direction buffer per k, and the curvature field e_k x b_k by np.cross."""
+    z = X[:, 0:3] - X[:, 3:6]
+    B = cross_kernels(z)
+    grad = model.log_grad(X)
+    gdiff = grad[:, 0:3] - grad[:, 3:6]
+    u1 = np.einsum("nkc,nc->nk", B, gdiff)
+    u2 = np.zeros_like(u1)
+    for k in range(3):
+        U = np.zeros((X.shape[0], model.dim))
+        U[:, 0:3] = B[:, k, :]
+        U[:, 3:6] = -B[:, k, :]
+        curv = 2.0 * np.einsum("nc,nc->n", np.cross(np.eye(3)[k], B[:, k, :]), gdiff)
+        u2[:, k] = model.log_hess_quadform(X, U) + curv
+    return u1, u2
+
+
+def _full_covariance_pair():
+    a = np.array([[1.0, 0.2, 0.0, 0.3, 0.0, 0.1],
+                  [0.0, 0.8, 0.1, 0.0, -0.2, 0.0],
+                  [0.1, 0.0, 1.2, 0.0, 0.1, -0.3],
+                  [0.0, 0.3, 0.0, 0.9, 0.0, 0.2],
+                  [0.2, 0.0, -0.1, 0.1, 1.1, 0.0],
+                  [0.0, 0.1, 0.0, -0.2, 0.0, 0.7]])
+    return GaussianModel([0.3, -0.2, 0.1, -0.4, 0.0, 0.5], a @ a.T)
+
+
+@pytest.mark.parametrize("make_model", [lambda: TensorPower(bimodal(3.0), 2),
+                                        _full_covariance_pair],
+                         ids=["bimodal_pair", "full_cov_gaussian"])
+def test_lean_fields_match_stacked_kernels(make_model, pot_gm2):
+    model = make_model()
+    X = model.sample(np.random.default_rng(11), 4000)
+    batch = _PairBatch(model, pot_gm2, MCSpec(0, 0), need_second=True,
+                       k_set=(0, 1, 2), X=X)
+    u1, u2 = _stacked_kernel_fields(model, X)
+    np.testing.assert_allclose(batch.u1, u1, rtol=1e-12)
+    np.testing.assert_allclose(batch.u2, u2, rtol=1e-12)
+
+
+def test_k_family_D_and_J_match_separate_estimates(aniso_pair, pot_gm2):
+    mc = MCSpec(20_000, 5)
+    fam = k_family(aniso_pair, [0.0, 1.0], pot_gm2, mc)
+    assert fam.D == entropy_production_D(aniso_pair, pot_gm2, mc)
+    assert fam.J == J_functional(aniso_pair, pot_gm2, mc)
+
+
+def test_cli_shared_batch_matches_separate_calls(capsys, aniso_pair, pot_gm2):
+    betas = [0.0, 0.5, 1.0]
+    argv = ["functionals", "--preset", "aniso_gauss(2,0.5,0.5)", "--which", "D,J,K",
+            "--beta", "0,0.5,1", "--gamma", "-2", "--eta", "0.1",
+            "--samples", "20000", "--seed", "3"]
+    assert cli_main(argv) == 0
+    got = {(r["functional"], r.get("beta")): r["value"]
+           for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    mc = MCSpec(20_000, 3)
+    fam = k_family(aniso_pair, betas, pot_gm2, mc)
+    expect = {("D", None): entropy_production_D(aniso_pair, pot_gm2, mc).value,
+              ("J", None): J_functional(aniso_pair, pot_gm2, mc).value}
+    expect.update((("K_beta", b), fam.estimates[b].value) for b in betas)
+    assert got == expect
