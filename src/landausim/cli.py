@@ -32,8 +32,9 @@ from .diagnostics import GaussianBumpFn, bl_distance, weak_form_residual
 from .dynamics import SimConfig, run
 from .errors import BlowupError, ConfigError, DegenerateCloudError
 from .estimators import EmpiricalMeasure, knn_entropy, pair_inverse_square
+# J_functional is not called here; cli.J_functional is a name perfbench/tracer.py wraps
 from .functionals import (MCSpec, entropy, entropy_production_D, fisher_information,
-                          J_functional, k_family)
+                          J_functional, k_family)  # noqa: F401
 from .potentials import PotentialSpec, default_eta
 from .reference import matched_maxwellian, maxwellian_entropy, resolve_preset
 from .runio import load_config, load_trajectory, save_trajectory
@@ -101,15 +102,14 @@ def _cmd_functionals(args) -> int:
         emit("H", entropy(model))
     if "I" in which:
         emit("I", fisher_information(model))
-    fam = None
-    if "K" in which:  # one sample batch serves D, J and K_beta
-        betas = [float(b) for b in args.beta.split(",") if b.strip()]
+    if needs_pair:  # one sample batch serves D, J and K_beta
+        betas = ([float(b) for b in args.beta.split(",") if b.strip()]
+                 if "K" in which else [])
         fam = k_family(pair, betas, pot, mc)
-    if "D" in which:
-        emit("D", fam.D if fam is not None else entropy_production_D(pair, pot, mc))
-    if "J" in which:
-        emit("J", fam.J if fam is not None else J_functional(pair, pot, mc))
-    if fam is not None:
+        if "D" in which:
+            emit("D", fam.D)
+        if "J" in which:
+            emit("J", fam.J)
         for b in betas:
             emit("K_beta", fam.estimates[b], beta=b)
     return 0

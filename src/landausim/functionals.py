@@ -176,7 +176,7 @@ class _PairBatch:
         self.r = r
         self.alpha = _alpha_of(pot, r)
         self.w4 = self.alpha / (r * r)
-        self.cols = list(k_set)                   # the k summed over in D, J, K
+        self.k_set = list(k_set)                  # the k summed over in D, J, K
 
         grad = model.log_grad(X)
         g = grad[:, 0:3] - grad[:, 3:6]
@@ -185,7 +185,7 @@ class _PairBatch:
             u2 = np.zeros_like(self.u1)
             # (b_k, -b_k), later blocks 0; column-major so fills write columns
             U = np.zeros((model.dim, self.n)).T
-            for k in self.cols:
+            for k in self.k_set:
                 a, b = (k + 1) % 3, (k + 2) % 3
                 U[:, k], U[:, a], U[:, b] = 0.0, -z[:, b], z[:, a]  # b_k = e_k x z
                 np.negative(U[:, 0:3], out=U[:, 3:6])
@@ -195,23 +195,20 @@ class _PairBatch:
         else:
             self.u2 = None
 
-    def mean_se(self, per_sample) -> FunctionalEstimate:
-        return _mc_estimate(per_sample, self.n_rejected)
-
     def d_samples(self):
-        return 0.5 * self.alpha * np.sum(self.u1[:, self.cols] ** 2, axis=1)
+        return 0.5 * self.alpha * np.sum(self.u1[:, self.k_set] ** 2, axis=1)
 
     def j_samples(self):
-        return self.w4 * np.sum(self.u1[:, self.cols] ** 4, axis=1)
+        return self.w4 * np.sum(self.u1[:, self.k_set] ** 4, axis=1)
 
     def k_samples(self, beta: float):
-        core = self.u2[:, self.cols] + beta * self.u1[:, self.cols] ** 2
+        core = self.u2[:, self.k_set] + beta * self.u1[:, self.k_set] ** 2
         return self.w4 * np.sum(core * core, axis=1)
 
     def ibp_lhs_samples(self):
         # int (dd F)(d F)^2 / F^2 = int F w^4 u1^2 (u1^2 + u2)
-        u1sq = self.u1[:, self.cols] ** 2
-        return self.w4 * np.sum(u1sq * (u1sq + self.u2[:, self.cols]), axis=1)
+        u1sq = self.u1[:, self.k_set] ** 2
+        return self.w4 * np.sum(u1sq * (u1sq + self.u2[:, self.k_set]), axis=1)
 
 
 def entropy_production_D(model: DensityModel, pot, mc: MCSpec,
@@ -223,14 +220,14 @@ def entropy_production_D(model: DensityModel, pot, mc: MCSpec,
     if model.dim == 3:
         model = TensorPower(model, 2)
     batch = _PairBatch(model, pot, mc, need_second=False, k_set=k_set, X=_X)
-    return batch.mean_se(batch.d_samples())
+    return _mc_estimate(batch.d_samples(), batch.n_rejected)
 
 
 def J_functional(model: DensityModel, pot, mc: MCSpec,
                  k_set=(0, 1, 2)) -> FunctionalEstimate:
     """J(F) = int F sum_k (alpha/|z|^2) (bt_k . grad log F)^4."""
     batch = _PairBatch(model, pot, mc, need_second=False, k_set=k_set)
-    return batch.mean_se(batch.j_samples())
+    return _mc_estimate(batch.j_samples(), batch.n_rejected)
 
 
 def dissipation_K(model: DensityModel, beta: float, pot, mc: MCSpec,
@@ -239,7 +236,7 @@ def dissipation_K(model: DensityModel, beta: float, pot, mc: MCSpec,
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     batch = _PairBatch(model, pot, mc, need_second=True, k_set=k_set)
-    return batch.mean_se(batch.k_samples(beta))
+    return _mc_estimate(batch.k_samples(beta), batch.n_rejected)
 
 
 @dataclass
@@ -277,10 +274,11 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec,
     batch = _PairBatch(model, pot, mc, need_second=True, k_set=k_set)
     samples = {beta: batch.k_samples(beta) for beta in betas}
     samples["J"] = batch.j_samples()
-    estimates = {beta: batch.mean_se(samples[beta]) for beta in betas}
-    return KFamilyResult(estimates=estimates, J=batch.mean_se(samples["J"]),
-                         D=batch.mean_se(batch.d_samples()), n=batch.n,
-                         n_rejected=batch.n_rejected, _samples=samples)
+    nr = batch.n_rejected
+    estimates = {beta: _mc_estimate(samples[beta], nr) for beta in betas}
+    return KFamilyResult(estimates=estimates, J=_mc_estimate(samples["J"], nr),
+                         D=_mc_estimate(batch.d_samples(), nr), n=batch.n,
+                         n_rejected=nr, _samples=samples)
 
 
 def ibp_identity_check(model: DensityModel, pot, mc: MCSpec,
@@ -302,8 +300,8 @@ def ibp_identity_check(model: DensityModel, pot, mc: MCSpec,
         return normalized
     return {
         "residual": normalized,
-        "lhs": batch.mean_se(lhs).value,
-        "rhs": batch.mean_se(rhs).value,
+        "lhs": _mc_estimate(lhs, batch.n_rejected).value,
+        "rhs": _mc_estimate(rhs, batch.n_rejected).value,
         "residual_mean": float(np.mean(resid)),
         "residual_se": float(np.std(resid, ddof=1) / math.sqrt(batch.n)),
         "n": batch.n,
@@ -326,7 +324,7 @@ def beta_power_identity_probes(model: DensityModel, pot, beta: float,
                        k_set=k_set, X=X)
     w2 = np.sqrt(batch.alpha) / batch.r
     worst = 0.0
-    for k in batch.cols:
+    for k in batch.k_set:
         u1, u2 = batch.u1[:, k], batch.u2[:, k]
         sq = w2 * u1 * u1                  # (dF)^2 / F^2 contribution
         mixed = w2 * (u1 * u1 + u2)        # ddF / F contribution
