@@ -85,10 +85,10 @@ def _cmd_functionals(args) -> int:
     if needs_pair:
         if args.gamma is None:
             raise ConfigError("--gamma is required for D/J/K")
+        mc = MCSpec(n_samples=args.samples, seed=args.seed)
         eta = args.eta if args.eta is not None else default_eta(args.samples)
         pot = PotentialSpec(gamma=args.gamma, eta=eta)
         pair = TensorPower(model, max(2, args.tensor))
-        mc = MCSpec(n_samples=args.samples, seed=args.seed)
 
     def emit(name, est, **extra):
         rec = {"functional": name, "preset": args.preset, "method": est.method,

@@ -323,9 +323,7 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
         for _, iu, ju in _pair_blocks(n):
             z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
             r2 = np.einsum("pc,pc->p", z, z)
-            keep = r2 > 0.0
-            iu, ju, z, r2 = iu[keep], ju[keep], z[keep], r2[keep]
-            alpha = alpha_bare(gamma, np.sqrt(r2))
+            alpha = np.where(r2 > 0.0, alpha_bare(gamma, np.sqrt(r2)), 0.0)
             gd = np.take(g, iu, axis=0) - np.take(g, ju, axis=0)
             term_b -= 2.0 * np.sum(alpha * np.einsum("pc,pc->p", z, gd))
             hs = np.take(h, iu, axis=0)

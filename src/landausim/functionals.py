@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .densities import DensityModel, TensorPower, grid_integrate
-from .errors import CapabilityError, CoverageError
+from .errors import CapabilityError, ConfigError, CoverageError
 from .potentials import PotentialSpec, alpha_bare, alpha_reg
 
 __all__ = [
@@ -66,10 +67,16 @@ _EPS_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class MCSpec:
-    """Monte Carlo budget: sample count and RNG seed."""
+    """Monte Carlo budget: sample count (an int >= 2) and RNG seed (an int >= 0)."""
 
     n_samples: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        for name, lo in (("n_samples", 2), ("seed", 0)):
+            val = getattr(self, name)
+            if not isinstance(val, (int, np.integer)) or val < lo:
+                raise ConfigError(f"MCSpec {name} must be an int >= {lo}, got {val!r}")
 
 
 @dataclass
@@ -157,15 +164,14 @@ def _alpha_of(pot, r):
 
 
 class _PairBatch:
-    """Per-sample kernel fields for the first two blocks of a sampled model."""
+    """Per-sample pair fields of a model on R^{3n}, n >= 2, at the samples X.
 
-    def __init__(self, model: DensityModel, pot, mc: MCSpec,
-                 need_second: bool, k_set, X=None):
+    u2 is built on first use, so D and J need no ``log_hess_quadform``.
+    """
+
+    def __init__(self, model: DensityModel, pot, X):
         if model.dim < 6 or model.dim % 3:
             raise CapabilityError("pair functionals need a model on R^{3n}, n >= 2")
-        if X is None:
-            rng = np.random.default_rng(mc.seed)
-            X = model.sample(rng, mc.n_samples)
         z = X[:, 0:3] - X[:, 3:6]
         r = np.sqrt(np.sum(z * z, axis=1))
         keep = r >= _SINGULAR_CUTOFF
@@ -176,66 +182,73 @@ class _PairBatch:
         self.r = r
         self.alpha = _alpha_of(pot, r)
         self.w4 = self.alpha / (r * r)
-        self.k_set = list(k_set)                  # the k summed over in D, J, K
 
         grad = model.log_grad(X)
         g = grad[:, 0:3] - grad[:, 3:6]
         self.u1 = np.cross(z, g)                  # u1_k = b_k . g = (z x g)_k
-        if need_second:
-            u2 = np.zeros_like(self.u1)
-            # (b_k, -b_k), later blocks 0; column-major so fills write columns
-            U = np.zeros((model.dim, self.n)).T
-            for k in self.k_set:
-                a, b = (k + 1) % 3, (k + 2) % 3
-                U[:, k], U[:, a], U[:, b] = 0.0, -z[:, b], z[:, a]  # b_k = e_k x z
-                np.negative(U[:, 0:3], out=U[:, 3:6])
-                curv = -2.0 * sum(z[:, c] * g[:, c] for c in range(3) if c != k)
-                u2[:, k] = model.log_hess_quadform(X, U) + curv
-            self.u2 = u2
-        else:
-            self.u2 = None
+        self.u1sq = self.u1 * self.u1
+        self._u2_inputs = (model, X, z, g)
+
+    @cached_property
+    def u2(self):
+        model, X, z, g = self._u2_inputs
+        u2 = np.zeros_like(self.u1)
+        # (b_k, -b_k), later blocks 0; column-major so fills write columns
+        U = np.zeros((model.dim, self.n)).T
+        for k in range(3):
+            a, b = (k + 1) % 3, (k + 2) % 3
+            U[:, k], U[:, a], U[:, b] = 0.0, -z[:, b], z[:, a]  # b_k = e_k x z
+            np.negative(U[:, 0:3], out=U[:, 3:6])
+            curv = -2.0 * sum(z[:, c] * g[:, c] for c in range(3) if c != k)
+            u2[:, k] = model.log_hess_quadform(X, U) + curv
+        return u2
 
     def d_samples(self):
-        return 0.5 * self.alpha * np.sum(self.u1[:, self.k_set] ** 2, axis=1)
+        return 0.5 * self.alpha * np.sum(self.u1sq, axis=1)
 
     def j_samples(self):
-        return self.w4 * np.sum(self.u1[:, self.k_set] ** 4, axis=1)
+        return self.w4 * np.sum(self.u1sq * self.u1sq, axis=1)
 
     def k_samples(self, beta: float):
-        core = self.u2[:, self.k_set] + beta * self.u1[:, self.k_set] ** 2
+        core = self.u2 + beta * self.u1sq
         return self.w4 * np.sum(core * core, axis=1)
 
     def ibp_lhs_samples(self):
         # int (dd F)(d F)^2 / F^2 = int F w^4 u1^2 (u1^2 + u2)
-        u1sq = self.u1[:, self.k_set] ** 2
-        return self.w4 * np.sum(u1sq * (u1sq + self.u2[:, self.k_set]), axis=1)
+        return self.w4 * np.sum(self.u1sq * (self.u1sq + self.u2), axis=1)
 
 
-def entropy_production_D(model: DensityModel, pot, mc: MCSpec,
-                         k_set=(0, 1, 2), _X=None) -> FunctionalEstimate:
+def _seeded_sample(model: DensityModel, mc: MCSpec):
+    return model.sample(np.random.default_rng(mc.seed), mc.n_samples)
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
+
+
+def entropy_production_D(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
     """D(F) = 1/2 int alpha(|z|) a(z) : [(grad_1 - grad_2) log F]^(x2) F.
 
     A 3-dimensional model rho is interpreted as the pair tensor rho x rho.
     """
     if model.dim == 3:
         model = TensorPower(model, 2)
-    batch = _PairBatch(model, pot, mc, need_second=False, k_set=k_set, X=_X)
+    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
     return _mc_estimate(batch.d_samples(), batch.n_rejected)
 
 
-def J_functional(model: DensityModel, pot, mc: MCSpec,
-                 k_set=(0, 1, 2)) -> FunctionalEstimate:
+def J_functional(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
     """J(F) = int F sum_k (alpha/|z|^2) (bt_k . grad log F)^4."""
-    batch = _PairBatch(model, pot, mc, need_second=False, k_set=k_set)
+    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
     return _mc_estimate(batch.j_samples(), batch.n_rejected)
 
 
-def dissipation_K(model: DensityModel, beta: float, pot, mc: MCSpec,
-                  k_set=(0, 1, 2)) -> FunctionalEstimate:
+def dissipation_K(model: DensityModel, beta: float, pot,
+                  mc: MCSpec) -> FunctionalEstimate:
     """K_beta(F) = int F sum_k w^4 (u2_k + beta u1_k^2)^2 for beta in [0, 1]."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    batch = _PairBatch(model, pot, mc, need_second=True, k_set=k_set)
+    _check_beta(beta)
+    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
     return _mc_estimate(batch.k_samples(beta), batch.n_rejected)
 
 
@@ -265,13 +278,14 @@ class KFamilyResult:
         return _mc_estimate(self._samples[a] - self._samples[b], self.n_rejected)
 
 
-def k_family(model: DensityModel, betas, pot, mc: MCSpec,
-             k_set=(0, 1, 2)) -> KFamilyResult:
-    """Evaluate K_beta for several beta, J and D on one shared sample set."""
+def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
+    """Evaluate K_beta for several beta in [0, 1], J and D on one shared sample set."""
     betas = list(betas)
+    for beta in betas:
+        _check_beta(beta)
     if 1.0 / 3.0 not in betas:
         betas.append(1.0 / 3.0)
-    batch = _PairBatch(model, pot, mc, need_second=True, k_set=k_set)
+    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
     samples = {beta: batch.k_samples(beta) for beta in betas}
     samples["J"] = batch.j_samples()
     nr = batch.n_rejected
@@ -281,8 +295,7 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec,
                          n_rejected=nr, _samples=samples)
 
 
-def ibp_identity_check(model: DensityModel, pot, mc: MCSpec,
-                       k_set=(0, 1, 2), full: bool = False):
+def ibp_identity_check(model: DensityModel, pot, mc: MCSpec, full: bool = False):
     """Integration-by-parts identity int (ddF)(dF)^2/F^2 = (2/3) J.
 
     Returns |lhs - (2/3) J| / max(J, 1e-30) on shared samples; with
@@ -290,27 +303,26 @@ def ibp_identity_check(model: DensityModel, pot, mc: MCSpec,
     mean, its standard error, and the sample counts.  The residual estimates
     0 for any radial weight because the fields bt_k are divergence-free.
     """
-    batch = _PairBatch(model, pot, mc, need_second=True, k_set=k_set)
+    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
     lhs = batch.ibp_lhs_samples()
     rhs = (2.0 / 3.0) * batch.j_samples()
-    resid = lhs - rhs
-    j_val = 1.5 * float(np.mean(rhs))
-    normalized = abs(float(np.mean(resid))) / max(j_val, _EPS_FLOOR)
+    resid = _mc_estimate(lhs - rhs, batch.n_rejected)
+    rhs_mean = float(np.mean(rhs))
+    normalized = abs(resid.value) / max(1.5 * rhs_mean, _EPS_FLOOR)
     if not full:
         return normalized
     return {
         "residual": normalized,
-        "lhs": _mc_estimate(lhs, batch.n_rejected).value,
-        "rhs": _mc_estimate(rhs, batch.n_rejected).value,
-        "residual_mean": float(np.mean(resid)),
-        "residual_se": float(np.std(resid, ddof=1) / math.sqrt(batch.n)),
+        "lhs": float(np.mean(lhs)),
+        "rhs": rhs_mean,
+        "residual_mean": resid.value,
+        "residual_se": resid.abs_error,
         "n": batch.n,
         "n_rejected": batch.n_rejected,
     }
 
 
-def beta_power_identity_probes(model: DensityModel, pot, beta: float,
-                               X, k_set=(0, 1, 2)) -> float:
+def beta_power_identity_probes(model: DensityModel, pot, beta: float, X) -> float:
     """Max relative discrepancy of the pointwise power identity on probes X.
 
     For beta > 0:  dd(F^beta) / (beta F^beta) = ddF/F + (beta-1) (dF)^2/F^2,
@@ -319,15 +331,13 @@ def beta_power_identity_probes(model: DensityModel, pot, beta: float,
     building blocks.  beta = 0 checks the log form
     dd(log F) = ddF/F - (dF)^2/F^2.  Denominators are floored at 1e-30.
     """
-    X = np.atleast_2d(X)
-    batch = _PairBatch(model, pot, MCSpec(0, 0), need_second=True,
-                       k_set=k_set, X=X)
+    batch = _PairBatch(model, pot, np.atleast_2d(X))
     w2 = np.sqrt(batch.alpha) / batch.r
     worst = 0.0
-    for k in batch.k_set:
-        u1, u2 = batch.u1[:, k], batch.u2[:, k]
-        sq = w2 * u1 * u1                  # (dF)^2 / F^2 contribution
-        mixed = w2 * (u1 * u1 + u2)        # ddF / F contribution
+    for k in range(3):
+        u1, u1sq, u2 = batch.u1[:, k], batch.u1sq[:, k], batch.u2[:, k]
+        sq = w2 * u1sq                     # (dF)^2 / F^2 contribution
+        mixed = w2 * (u1sq + u2)           # ddF / F contribution
         if beta == 0.0:
             lhs = w2 * u2
             rhs = mixed - sq
@@ -345,8 +355,7 @@ def beta_power_identity_probes(model: DensityModel, pot, beta: float,
     return worst
 
 
-def tensor_consistency_D(rho: DensityModel, j: int, pot, mc: MCSpec,
-                         k_set=(0, 1, 2)):
+def tensor_consistency_D(rho: DensityModel, j: int, pot, mc: MCSpec):
     """D evaluated on rho^(x j) and on rho^(x 2) with shared pair marginals.
 
     The integrand only involves the first two blocks, so the two estimates
@@ -355,10 +364,8 @@ def tensor_consistency_D(rho: DensityModel, j: int, pot, mc: MCSpec,
     """
     if j < 2:
         raise ValueError("tensor consistency needs j >= 2")
-    rng = np.random.default_rng(mc.seed)
     model_j = TensorPower(rho, j)
-    X = model_j.sample(rng, mc.n_samples)
-    est_j = entropy_production_D(model_j, pot, mc, k_set, _X=X)
-    est_pair = entropy_production_D(TensorPower(rho, 2), pot, mc, k_set,
-                                    _X=X[:, 0:6])
-    return est_j, est_pair
+    X = _seeded_sample(model_j, mc)
+    batches = (_PairBatch(model_j, pot, X),
+               _PairBatch(TensorPower(rho, 2), pot, X[:, 0:6]))
+    return tuple(_mc_estimate(b.d_samples(), b.n_rejected) for b in batches)

@@ -142,6 +142,19 @@ def test_functionals_rejects_bad_preset(capsys):
     assert cli("functionals", "--preset", "maxwellian(-1)", "--which", "H") == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", "1"])
+def test_functionals_rejects_bad_sample_count(capsys, samples):
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", "D",
+               "--gamma", "-2", "--samples", samples) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_functionals_rejects_beta_out_of_range(capsys):
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", "K",
+               "--beta", "2", "--gamma", "-2", "--samples", "100") == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 

@@ -13,7 +13,7 @@ from landausim.diagnostics import (AffineFn, ConstantFn, GaussianBumpFn,
                                    is_delta_nonaligned, iota,
                                    weak_form_residual)
 from landausim.densities import GaussianMixtureModel
-from landausim.dynamics import SimConfig, Trajectory, run
+from landausim.dynamics import ParticleState, SimConfig, Trajectory, run
 from landausim.errors import ConfigError, StrideError
 from landausim.estimators import EmpiricalMeasure
 from landausim.reference import maxwellian
@@ -208,6 +208,39 @@ def test_weak_residual_does_not_depend_on_pair_block(residual_traj, monkeypatch)
     monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 100)  # 24 blocks of 2 rows at N = 48
     many = [weak_form_residual(residual_traj, phi, 0.1) for phi in phis]
     assert many == pytest.approx(one, rel=1e-12, abs=1e-15)
+
+
+def test_weak_residual_skips_coincident_pairs(residual_traj):
+    # particle 1 sits on particle 0 in every snapshot; that pair carries no
+    # interaction, so the residual equals the ordered-pair sum over V_i != V_j
+    snaps = []
+    for s in residual_traj.snapshots:
+        v = s.v.copy()
+        v[1] = v[0]
+        snaps.append(ParticleState(v, s.t, s.step_index))
+    traj = Trajectory(config=residual_traj.config, snapshots=snaps)
+    phi = GaussianBumpFn([0.3, 0.0, -0.2], 1.0, 0.5)
+    gamma = residual_traj.config.gamma
+    vals = []
+    for s in snaps:
+        v, n = s.v, s.v.shape[0]
+        g, h = phi.grad(v), phi.hess(v)
+        total = 0.0
+        for i in range(n):
+            for j in range(n):
+                z = v[i] - v[j]
+                if i == j or not np.any(z):
+                    continue
+                r2 = float(z @ z)
+                alpha = math.sqrt(r2) ** gamma
+                total += -2.0 * alpha * float(z @ (g[i] - g[j]))
+                total += alpha * (r2 * np.trace(h[i]) - float(z @ h[i] @ z))
+        vals.append(total / n**2)
+    expect = (-float(np.mean(phi.value(snaps[-1].v)))
+              + float(np.mean(phi.value(snaps[0].v)))
+              + float(np.trapezoid(vals, traj.times)))
+    got = weak_form_residual(traj, phi, traj.times[-1])
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_weak_residual_stride_errors(residual_traj):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from landausim.cli import main as cli_main
-from landausim.densities import (GaussianModel, ScaledModel, ShiftedModel,
-                                 TensorPower)
-from landausim.errors import CapabilityError
+from landausim.densities import (DensityModel, GaussianModel, ScaledModel,
+                                 ShiftedModel, TensorPower)
+from landausim.errors import CapabilityError, ConfigError
 from landausim.functionals import (MCSpec, J_functional, _PairBatch,
                                    beta_power_identity_probes, dissipation_K,
                                    entropy, entropy_production_D,
@@ -182,6 +182,19 @@ def test_dissipation_K_rejects_beta_out_of_range(aniso_pair, pot_gm2):
             dissipation_K(aniso_pair, beta, pot_gm2, MCSpec(100, 0))
 
 
+@pytest.mark.parametrize("beta", [-0.1, 1.5, float("nan")])
+def test_k_family_rejects_beta_out_of_range(aniso_pair, pot_gm2, beta):
+    with pytest.raises(ConfigError):
+        k_family(aniso_pair, [0.0, beta], pot_gm2, MCSpec(100, 0))
+
+
+@pytest.mark.parametrize("n_samples, seed", [(0, 0), (1, 0), (-5, 0), (100.0, 0),
+                                             (100, -1), (100, 0.5)])
+def test_mcspec_rejects_bad_budgets(n_samples, seed):
+    with pytest.raises(ConfigError):
+        MCSpec(n_samples, seed)
+
+
 # ---------------------------------------------------------------------------
 # Integration by parts: int (ddF)(dF)^2/F^2 = (2/3) J
 
@@ -232,13 +245,14 @@ def test_beta_power_identity_probes(aniso_pair, pot_gm2, rng):
 def test_eta_monotonicity_on_shared_samples(aniso_pair, rng):
     # shrinking eta raises alpha pointwise, hence every per-sample D value
     X = aniso_pair.sample(rng, 20_000)
-    mc = MCSpec(0, 0)
-    vals = [entropy_production_D(aniso_pair, PotentialSpec(-2.0, eta), mc,
-                                 _X=X).value
-            for eta in (0.4, 0.2, 0.1, 0.05)]
+
+    def shared_D(pot):
+        return float(np.mean(_PairBatch(aniso_pair, pot, X).d_samples()))
+
+    vals = [shared_D(PotentialSpec(-2.0, eta)) for eta in (0.4, 0.2, 0.1, 0.05)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     # and the bare kernel dominates every regularized value
-    bare = entropy_production_D(aniso_pair, -2.0, mc, _X=X).value
+    bare = shared_D(-2.0)
     assert bare >= vals[-1]
 
 
@@ -309,8 +323,7 @@ def _full_covariance_pair():
 def test_lean_fields_match_stacked_kernels(make_model, pot_gm2):
     model = make_model()
     X = model.sample(np.random.default_rng(11), 4000)
-    batch = _PairBatch(model, pot_gm2, MCSpec(0, 0), need_second=True,
-                       k_set=(0, 1, 2), X=X)
+    batch = _PairBatch(model, pot_gm2, X)
     u1, u2 = _stacked_kernel_fields(model, X)
     np.testing.assert_allclose(batch.u1, u1, rtol=1e-12)
     np.testing.assert_allclose(batch.u2, u2, rtol=1e-12)
@@ -339,3 +352,26 @@ def test_cli_shared_batch_matches_separate_calls(capsys, aniso_pair, pot_gm2, wh
         fam = k_family(aniso_pair, betas, pot_gm2, mc)
         expect.update((("K_beta", b), fam.estimates[b].value) for b in betas)
     assert got == expect
+
+
+class _GradientOnly(DensityModel):
+    """A pair model with a sampler and log_grad but no log_hess_quadform."""
+
+    def __init__(self, base):
+        self.base, self.dim = base, base.dim
+
+    def log_grad(self, X):
+        return self.base.log_grad(X)
+
+    def sample(self, rng, n):
+        return self.base.sample(rng, n)
+
+
+def test_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
+    # u2 is built only when K_beta asks for it
+    model, mc = _GradientOnly(aniso_pair), MCSpec(20_000, 5)
+    assert (entropy_production_D(model, pot_gm2, mc)
+            == entropy_production_D(aniso_pair, pot_gm2, mc))
+    assert J_functional(model, pot_gm2, mc) == J_functional(aniso_pair, pot_gm2, mc)
+    with pytest.raises(CapabilityError):
+        dissipation_K(model, 1.0, pot_gm2, mc)
