@@ -33,8 +33,8 @@ from .dynamics import SimConfig, run
 from .errors import BlowupError, ConfigError, DegenerateCloudError
 from .estimators import EmpiricalMeasure, knn_entropy, pair_inverse_square
 # J_functional is not called here; cli.J_functional is a name perfbench/tracer.py wraps
-from .functionals import (MCSpec, entropy, entropy_production_D, fisher_information,
-                          J_functional, k_family)  # noqa: F401
+from .functionals import (MCSpec, _check_beta, entropy, entropy_production_D,
+                          fisher_information, J_functional, k_family)  # noqa: F401
 from .potentials import PotentialSpec, default_eta
 from .reference import matched_maxwellian, maxwellian_entropy, resolve_preset
 from .runio import load_config, load_trajectory, save_trajectory
@@ -75,12 +75,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_list(text: str, cast, flag: str) -> list:
+    """Comma-separated flag values through cast; a ValueError becomes a ConfigError."""
+    try:
+        return [cast(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag}: {exc}") from exc
+
+
 def _cmd_functionals(args) -> int:
     model = resolve_preset(args.preset)
     which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
     bad = [w for w in which if w not in ("H", "I", "D", "J", "K")]
     if bad:
         raise ConfigError(f"unknown functionals {bad}; choose from H,I,D,J,K")
+    betas = _parse_list(args.beta, float, "--beta") if "K" in which else []
+    for b in betas:
+        _check_beta(b)
     needs_pair = any(w in which for w in ("D", "J", "K"))
     if needs_pair:
         if args.gamma is None:
@@ -88,7 +99,7 @@ def _cmd_functionals(args) -> int:
         mc = MCSpec(n_samples=args.samples, seed=args.seed)
         eta = args.eta if args.eta is not None else default_eta(args.samples)
         pot = PotentialSpec(gamma=args.gamma, eta=eta)
-        pair = TensorPower(model, max(2, args.tensor))
+        pair = TensorPower(model, 2)
 
     def emit(name, est, **extra):
         rec = {"functional": name, "preset": args.preset, "method": est.method,
@@ -103,8 +114,6 @@ def _cmd_functionals(args) -> int:
     if "I" in which:
         emit("I", fisher_information(model))
     if needs_pair:  # one sample batch serves D, J and K_beta
-        betas = ([float(b) for b in args.beta.split(",") if b.strip()]
-                 if "K" in which else [])
         fam = k_family(pair, betas, pot, mc)
         if "D" in which:
             emit("D", fam.D)
@@ -158,11 +167,8 @@ def _cmd_sweep(args) -> int:
     base = load_config(args.config).to_dict()
     if args.axis not in _SWEEP_AXES:
         raise ConfigError(f"axis must be one of {_SWEEP_AXES}")
-    cast = int if args.axis == "n_particles" else float
-    try:
-        values = [cast(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --values: {exc}") from exc
+    values = _parse_list(args.values, int if args.axis == "n_particles" else float,
+                         "--values")
     if not values:
         raise ConfigError("--values is empty")
     out_root = Path(args.out)
@@ -321,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="regularization length (default: sample-count rule)")
     pf.add_argument("--samples", type=int, default=200_000)
     pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--tensor", type=int, default=2,
-                    help="tensor power of the preset used for pair functionals")
     pf.set_defaults(fn=_cmd_functionals)
 
     pw = sub.add_parser("sweep", help="grid of runs over one config axis x seeds")

@@ -16,6 +16,7 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -172,7 +173,25 @@ class RadialBumpFn:
 
 
 # ---------------------------------------------------------------------------
-# test-function dictionary and the weighted weak metric
+# integrals against a cloud or a density, test-function dictionary, weak metric
+
+def _as_target(target):
+    """A cloud or a density model; an (N, 3) array is taken as a cloud."""
+    if isinstance(target, np.ndarray):
+        return EmpiricalMeasure(target)
+    if isinstance(target, (EmpiricalMeasure, DensityModel)):
+        return target
+    raise ConfigError(f"unsupported target type {type(target).__name__}")
+
+
+def _integral(target, fn, lo, hi) -> float:
+    """int fn d(target): the mean over a cloud, or for a density the 41-point
+    per-axis trapezoid rule of fn * density on the box [lo, hi]."""
+    target = _as_target(target)
+    if isinstance(target, EmpiricalMeasure):
+        return target.mean_of(fn)
+    return grid_integrate(lambda X: fn(X) * target.density(X), lo, hi, 41)
+
 
 def _lattice_centers(radius: float):
     m = int(math.floor(radius))
@@ -222,30 +241,14 @@ class TestFunctionDictionary:
 
     def integrals(self, target) -> np.ndarray:
         """Vector of int phi_n d(target) for a cloud or a density model."""
-        if isinstance(target, EmpiricalMeasure):
-            return np.array([float(np.mean(phi.value(target.points)))
-                             for phi in self.functions])
-        if isinstance(target, np.ndarray):
-            return self.integrals(EmpiricalMeasure(target))
-        if isinstance(target, DensityModel):
-            out = np.empty(self.n_max)
-            for i, phi in enumerate(self.functions):
-                lo = phi.center - 8.0 * phi.scale
-                hi = phi.center + 8.0 * phi.scale
-                out[i] = grid_integrate(
-                    lambda X: phi.value(X) * target.density(X), lo, hi, 41)
-            return out
-        raise ConfigError(f"unsupported target type {type(target).__name__}")
+        return np.array([_integral(target, phi.value, phi.center - 8.0 * phi.scale,
+                                   phi.center + 8.0 * phi.scale)
+                         for phi in self.functions])
 
 
-_DEFAULT_DICT = None
-
-
+@functools.cache
 def default_dictionary() -> TestFunctionDictionary:
-    global _DEFAULT_DICT
-    if _DEFAULT_DICT is None:
-        _DEFAULT_DICT = TestFunctionDictionary()
-    return _DEFAULT_DICT
+    return TestFunctionDictionary()
 
 
 def bl_distance(a, b, dictionary: TestFunctionDictionary | None = None,
@@ -320,9 +323,7 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
         g = phi.grad(v)
         h = phi.hess(v)
         term_b = term_a = 0.0
-        for _, iu, ju in _pair_blocks(n):
-            z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
-            r2 = np.einsum("pc,pc->p", z, z)
+        for _, iu, ju, z, r2 in _pair_blocks(v):
             alpha = np.where(r2 > 0.0, alpha_bare(gamma, np.sqrt(r2)), 0.0)
             gd = np.take(g, iu, axis=0) - np.take(g, ju, axis=0)
             term_b -= 2.0 * np.sum(alpha * np.einsum("pc,pc->p", z, gd))
@@ -352,21 +353,8 @@ def is_delta_nonaligned(v1, v2, v3, delta: float):
     (ok, (margin_separation, margin_transverse)); both margins nonnegative
     exactly when the triple is delta-non-aligned.
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    v3 = np.asarray(v3, dtype=float)
-    sep = float(np.linalg.norm(v2 - v1))
-    m1 = sep - 6.0 * math.sqrt(delta)
-    w = v3 - v1
-    wn = float(np.linalg.norm(w))
-    if sep > 0.0:
-        u = (v2 - v1) / sep
-        perp = w - (w @ u) * u
-        pn = float(np.linalg.norm(perp))
-    else:
-        pn = 0.0
-    m2 = pn - (24.0 * delta + 2.0 * math.sqrt(delta) * wn)
-    return bool(m1 >= 0.0 and m2 >= 0.0), (m1, m2)
+    m1, m2 = _triple_margins_batch(*np.asarray([v1, v2, v3], dtype=float)[:, None], delta)
+    return bool(m1[0] >= 0.0 and m2[0] >= 0.0), (float(m1[0]), float(m2[0]))
 
 
 @dataclass(frozen=True)
@@ -388,16 +376,8 @@ class NonAlignedTriple:
 def ball_mass(target, center, delta: float) -> float:
     """int h((w - center)/delta) d(target), the smoothed mass near center."""
     center = np.asarray(center, dtype=float)
-    if isinstance(target, EmpiricalMeasure):
-        return float(np.mean(bump_h((target.points - center) / delta)))
-    if isinstance(target, np.ndarray):
-        return ball_mass(EmpiricalMeasure(target), center, delta)
-    if isinstance(target, DensityModel):
-        lo, hi = center - 1.5 * delta, center + 1.5 * delta
-        return grid_integrate(
-            lambda X: bump_h((X - center) / delta) * target.density(X),
-            lo, hi, 41)
-    raise ConfigError(f"unsupported target type {type(target).__name__}")
+    return _integral(target, lambda X: bump_h((X - center) / delta),
+                     center - 1.5 * delta, center + 1.5 * delta)
 
 
 def iota(target, triple: NonAlignedTriple) -> float:
@@ -406,7 +386,8 @@ def iota(target, triple: NonAlignedTriple) -> float:
 
 
 def _triple_margins_batch(v1, v2, v3, delta: float):
-    """Vectorized non-alignment margins for stacked triples (rows)."""
+    """Non-alignment margins (m1, m2) of stacked triples, one per row of the
+    (P, 3) arrays v1, v2, v3."""
     d12 = v2 - v1
     sep = np.linalg.norm(d12, axis=1)
     m1 = sep - 6.0 * math.sqrt(delta)
@@ -440,6 +421,7 @@ def find_nonaligned_triple(target, delta: float, radius: float,
     axes = np.arange(-radius, radius + spacing / 2.0, spacing)
     cands = [np.array(p) for p in itertools.product(axes, repeat=3)
              if float(np.dot(p, p)) <= radius**2]
+    target = _as_target(target)
     if isinstance(target, EmpiricalMeasure):
         inside = target.points[np.sum(target.points**2, axis=1) <= radius**2]
         if inside.shape[0]:
@@ -463,9 +445,8 @@ def find_nonaligned_triple(target, delta: float, radius: float,
             hit = np.flatnonzero((m1 >= 0.0) & (m2 >= 0.0))
             if hit.size:
                 h = int(hit[0])
-                c1, c2, c3 = v1[h].copy(), v2[h].copy(), v3[h].copy()
-                _, margins = is_delta_nonaligned(c1, c2, c3, delta)
-                return NonAlignedTriple(c1, c2, c3, delta, margins,
+                return NonAlignedTriple(v1[h].copy(), v2[h].copy(), v3[h].copy(), delta,
+                                        (float(m1[h]), float(m2[h])),
                                         min_mass=float(wts[l]))
     return None
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError
+from .errors import BlowupError, ConfigError, StrideError
 from .potentials import PotentialSpec, alpha_reg, default_eta
 
 __all__ = [
@@ -161,14 +161,18 @@ class NoiseKey:
 _PAIR_BLOCK = 1 << 16
 
 
-def _pair_blocks(n: int):
-    """Yield (lo, iu, ju): the pairs i < j of one block of whole rows, in rank
-    order, with lo the rank of the first pair.  A block holds at most
-    max(_PAIR_BLOCK, n - 1) pairs."""
+def _pair_blocks(v: np.ndarray):
+    """Yield (lo, iu, ju, z, r2) for the pairs i < j of the (n, 3) points v,
+    one block of whole rows at a time, in rank order: lo is the rank of the
+    block's first pair, z = v[iu] - v[ju] and r2 = |z|^2.  A block holds at
+    most max(_PAIR_BLOCK, n - 1) pairs."""
+    n = v.shape[0]
     rows = max(1, _PAIR_BLOCK // (n - 1))
     for i0 in range(0, n - 1, rows):
         iu, ju = np.triu_indices(min(rows, n - 1 - i0), k=1, m=n - i0)
-        yield i0 * n - i0 * (i0 + 1) // 2, iu + i0, ju + i0
+        iu, ju = iu + i0, ju + i0
+        z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
+        yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, np.einsum("pc,pc->p", z, z)
 
 
 def pair_noise(seed: int, step_index: int, n: int, dt: float) -> np.ndarray:
@@ -219,10 +223,8 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
     # each side adds in rank order, as one bincount over all pairs would
     acc_i = np.zeros_like(v)
     acc_j = np.zeros_like(v)
-    for lo, iu, ju in _pair_blocks(n):
+    for lo, iu, ju, z, r2 in _pair_blocks(v):
         db = noise[lo:lo + iu.size]
-        z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
-        r2 = np.einsum("pc,pc->p", z, z)
         r = np.sqrt(r2)
         alpha = alpha_reg(pot, r)
         # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
@@ -264,15 +266,10 @@ class Trajectory:
         times = self.times
         k = int(np.argmin(np.abs(times - t)))
         if abs(times[k] - t) > tol:
-            from .errors import StrideError
             raise StrideError(
                 f"t={t} not on the snapshot grid (nearest {times[k]}); "
                 "reduce snapshot_stride")
         return self.snapshots[k]
-
-    def save(self, out_dir, fmt: str = "csv"):
-        from .runio import save_trajectory
-        save_trajectory(self, out_dir, fmt)
 
 
 def _default_observer(state: ParticleState) -> dict:
@@ -280,7 +277,7 @@ def _default_observer(state: ParticleState) -> dict:
     return {"momentum": momentum.tolist(), "energy": energy}
 
 
-def run(config: SimConfig, model=None, observers=(), record: bool = True) -> Trajectory:
+def run(config: SimConfig, model=None, observers=()) -> Trajectory:
     """Integrate from an IID g0 draw to t_end, recording every stride-th step.
 
     Observers are callables state -> dict merged into the diagnostics row of
@@ -294,8 +291,6 @@ def run(config: SimConfig, model=None, observers=(), record: bool = True) -> Tra
     traj = Trajectory(config=config)
 
     def record_state(s: ParticleState):
-        if not record:
-            return
         traj.snapshots.append(s.copy())
         row = {"step": s.step_index, "t": s.t}
         row.update(_default_observer(s))

@@ -56,20 +56,16 @@ def pair_inverse_square(mu: EmpiricalMeasure, return_excluded: bool = False):
     Pairs closer than 1e-14 are excluded from the average and counted; if
     every pair is degenerate a DegenerateCloudError is raised.
     """
-    v = mu.points
-    n = mu.n
-    if n < 2:
+    if mu.n < 2:
         raise DegenerateCloudError("need at least two points")
     total = 0.0
     kept = 0
     excluded = 0
-    for _, iu, ju in _pair_blocks(n):
-        z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
-        d2 = np.sum(z * z, axis=1)
-        good = d2 >= _PAIR_CUTOFF**2
+    for *_, r2 in _pair_blocks(mu.points):
+        good = r2 >= _PAIR_CUTOFF**2
         excluded += int(np.sum(~good))
         kept += int(np.sum(good))
-        total += float(np.sum(1.0 / d2[good]))
+        total += float(np.sum(1.0 / r2[good]))
     if kept == 0:
         raise DegenerateCloudError("all pairs closer than the cutoff")
     value = total / kept

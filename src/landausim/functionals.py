@@ -283,7 +283,7 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
     betas = list(betas)
     for beta in betas:
         _check_beta(beta)
-    if 1.0 / 3.0 not in betas:
+    if betas and 1.0 / 3.0 not in betas:  # the anchor of residual()
         betas.append(1.0 / 3.0)
     batch = _PairBatch(model, pot, _seeded_sample(model, mc))
     samples = {beta: batch.k_samples(beta) for beta in betas}

@@ -34,7 +34,7 @@ with sigma_eta sigma_eta^T = alpha_eta a and sigma_eta(0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,13 +116,6 @@ class PotentialSpec:
             raise ConfigError(
                 f"regularization violates the ratio bound: margin {margin:.3e} > 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PotentialSpec":
-        return cls(**d)
-
 
 def alpha_reg(spec: PotentialSpec, r):
     """Regularized strength alpha_eta(r) = (eta * chi(r/eta))**gamma."""
@@ -130,10 +123,10 @@ def alpha_reg(spec: PotentialSpec, r):
     if spec.gamma == 0.0:
         out = np.ones_like(rr)
     else:
-        # chi_eta(r) == r for r >= eta, so the power law applies verbatim there
-        out = np.empty_like(rr)
+        # chi_eta(r) == r for r >= eta; the entries below eta (r = 0 too) are overwritten
+        with np.errstate(divide="ignore", over="ignore"):
+            out = rr ** spec.gamma
         near = rr < spec.eta
-        out[~near] = rr[~near] ** spec.gamma
         if np.any(near):
             out[near] = chi_eta(spec.eta, rr[near]) ** spec.gamma
     return out if np.ndim(r) else out[0]

@@ -153,6 +153,14 @@ def test_functionals_rejects_beta_out_of_range(capsys):
     assert cli("functionals", "--preset", "maxwellian(1)", "--which", "K",
                "--beta", "2", "--gamma", "-2", "--samples", "100") == 2
     assert "error:" in capsys.readouterr().err
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", "K",
+               "--beta", "abc", "--gamma", "-2", "--samples", "100") == 2
+    assert "error:" in capsys.readouterr().err
+    # checked before any work: no H row is printed
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", "H,K",
+               "--beta", "2", "--gamma", "-2", "--samples", "100") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
 
 
 # ---------------------------------------------------------------------------

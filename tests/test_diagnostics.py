@@ -363,6 +363,11 @@ def test_find_nonaligned_triple_on_cloud():
     assert dists.min(axis=1).max() < 0.3
     assert triple.min_mass >= 5e-3
     assert iota(cloud, triple) >= 5e-3
+    # a bare (N, 3) array is the same cloud, cloud candidates included
+    bare = find_nonaligned_triple(cloud.points, delta=0.04, radius=4.0, kappa=5e-3)
+    assert bare is not None
+    np.testing.assert_array_equal(np.stack(bare.centers), got)
+    assert (bare.margins, bare.min_mass) == (triple.margins, triple.min_mass)
 
 
 def test_find_nonaligned_triple_infeasible_geometry():

@@ -10,6 +10,7 @@ from landausim.dynamics import (NoiseKey, ParticleState, SimConfig,
                                 Trajectory, conserved_quantities, init_iid,
                                 pair_noise, run, step)
 from landausim.errors import BlowupError, ConfigError, StrideError
+from landausim.potentials import diffusion_sigmaN, drift_bN
 
 
 def _cfg(**kw):
@@ -96,12 +97,15 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(dynamics, "_PAIR_BLOCK", block)
     cap = max(dynamics._PAIR_BLOCK, n - 1)
-    blocks = list(dynamics._pair_blocks(n))
+    v = np.random.default_rng(n).normal(size=(n, 3))
+    blocks = list(dynamics._pair_blocks(v))
     iu, ju = np.triu_indices(n, k=1)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), iu)
     np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), ju)
     expect_lo = 0
-    for lo, bi, bj in blocks:
+    for lo, bi, bj, z, r2 in blocks:
+        np.testing.assert_array_equal(z, v[bi] - v[bj])
+        np.testing.assert_allclose(r2, np.sum(z * z, axis=1), rtol=1e-15, atol=0)
         assert 0 < bi.size <= cap
         assert lo == expect_lo  # rank offsets are contiguous
         assert NoiseKey(0, 0, int(bi[0]), int(bj[0])).row_index(n) == lo
@@ -224,6 +228,30 @@ def test_exchangeability_under_relabeling():
     out_perm = step(ParticleState(state.v[p].copy()), cfg, pot, noise=remapped)
     scale = np.max(np.abs(out.v))
     assert np.max(np.abs(out_perm.v - out.v[p])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("v", [
+    [[1.0, 0.0, 0.0], [-1.0, 0.5, 0.0]],
+    [[0.3, -0.2, 0.1], [0.35, -0.15, 0.12], [-1.0, 0.4, 0.8]],  # one pair below eta
+    [[0.3, -0.2, 0.1], [0.3, -0.2, 0.1], [-1.0, 0.4, 0.8]],     # one coincident pair
+])
+def test_step_matches_reference_pair_kernels(v):
+    # v_i +- sum over pairs of (2/(N-1)) b_eta(z) dt + sqrt(2/(N-1)) sigma_eta(z) dB
+    v = np.array(v)
+    n = v.shape[0]
+    cfg = _cfg(n_particles=n, gamma=-2.5, dt=1e-2, eta=0.2)
+    pot = cfg.potential()
+    noise = np.random.default_rng(n).normal(size=(n * (n - 1) // 2, 3)) * 0.1
+    expect = v.copy()
+    iu, ju = np.triu_indices(n, k=1)
+    for db, i, j in zip(noise, iu, ju):
+        z = v[i] - v[j]
+        term = (2.0 / (n - 1)) * drift_bN(pot, z) * cfg.dt
+        term += math.sqrt(2.0 / (n - 1)) * diffusion_sigmaN(pot, z) @ db
+        expect[i] += term
+        expect[j] -= term
+    out = step(ParticleState(v.copy()), cfg, pot, noise=noise)
+    np.testing.assert_allclose(out.v, expect, rtol=1e-14, atol=0)
 
 
 def test_two_particles_conserve_center_of_mass():

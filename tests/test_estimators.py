@@ -67,10 +67,10 @@ def test_pair_statistic_chunking_invariance(rng, monkeypatch):
     import landausim.dynamics as dynamics
     import landausim.estimators as est
     monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 10**6)
-    assert len(list(dynamics._pair_blocks(700))) == 1
+    assert len(list(dynamics._pair_blocks(v))) == 1
     one = pair_inverse_square(EmpiricalMeasure(v), return_excluded=True)
     monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 1000)
-    assert len(list(dynamics._pair_blocks(700))) > 100
+    assert len(list(dynamics._pair_blocks(v))) > 100
     many = pair_inverse_square(EmpiricalMeasure(v), return_excluded=True)
     assert one[1] == many[1] == 0
     assert many[0] == pytest.approx(one[0], rel=1e-12)

@@ -375,3 +375,6 @@ def test_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
     assert J_functional(model, pot_gm2, mc) == J_functional(aniso_pair, pot_gm2, mc)
     with pytest.raises(CapabilityError):
         dissipation_K(model, 1.0, pot_gm2, mc)
+    fam = k_family(model, [], pot_gm2, mc)  # no beta, no anchor, no u2
+    assert fam.D == entropy_production_D(aniso_pair, pot_gm2, mc)
+    assert fam.J == J_functional(aniso_pair, pot_gm2, mc)
