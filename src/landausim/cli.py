@@ -37,7 +37,7 @@ from .functionals import (MCSpec, _check_beta, entropy, entropy_production_D,
                           fisher_information, J_functional, k_family)  # noqa: F401
 from .potentials import PotentialSpec, default_eta
 from .reference import matched_maxwellian, maxwellian_entropy, resolve_preset
-from .runio import load_config, load_trajectory, save_trajectory
+from .runio import SNAPSHOT_FORMATS, load_config, load_trajectory, save_trajectory
 
 __all__ = ["main"]
 
@@ -54,19 +54,27 @@ def _entropy_observer(state):
     return {"knn_entropy": knn_entropy(state.v)}
 
 
+def _run_and_save(config: SimConfig, observers, out, fmt: str):
+    """Run config and save it under out; after a blowup the partial run is
+    saved and returned, with the blowup recorded in its `error`."""
+    try:
+        traj = run(config, observers=observers)
+    except BlowupError as err:
+        traj = err.trajectory
+    save_trajectory(traj, out, fmt=fmt)
+    return traj
+
+
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     observers = [_pair_observer]
     if args.entropy:
         observers.append(_entropy_observer)
-    try:
-        traj = run(config, observers=observers)
-    except BlowupError as err:
-        save_trajectory(err.trajectory, args.out, fmt=args.format)
-        print(f"blowup at step {err.step_index}; partial run saved to {args.out}",
+    traj = _run_and_save(config, observers, args.out, args.format)
+    if traj.error:
+        print(f"blowup at step {traj.error['step']}; partial run saved to {args.out}",
               file=sys.stderr)
         return 1
-    save_trajectory(traj, args.out, fmt=args.format)
     last = traj.diagnostics[-1]
     print(json.dumps({"out": str(args.out), "steps": config.n_steps,
                       "snapshots": len(traj.snapshots),
@@ -125,25 +133,18 @@ def _cmd_functionals(args) -> int:
 
 
 _SWEEP_AXES = ("n_particles", "dt", "eta", "gamma")
+_SWEEP_METRICS = ("energy_drift", "momentum_drift", "weak_residual", "bl_to_matched")
 
 
 def _run_cell(payload) -> dict:
     """One sweep cell: run, save, summarize (top-level for process pools)."""
-    base, axis, value, seed, cell_dir, fmt = payload
-    d = dict(base)
-    d[axis] = value
-    d["seed"] = seed
-    config = SimConfig.from_dict(d)
-    row = {"axis": axis, "value": value, "seed": seed}
-    try:
-        traj = run(config, observers=[_pair_observer])
-    except BlowupError as err:
-        save_trajectory(err.trajectory, cell_dir, fmt=fmt)
-        row.update(status=f"blowup@{err.step_index}", runtime_s=float("nan"),
-                   energy_drift=float("nan"), momentum_drift=float("nan"),
-                   weak_residual=float("nan"), bl_to_matched=float("nan"))
+    config, axis, value, cell_dir, fmt = payload
+    traj = _run_and_save(config, [_pair_observer], cell_dir, fmt)
+    row = {"axis": axis, "value": value, "seed": config.seed}
+    if traj.error:
+        row.update(status=f"blowup@{traj.error['step']}", runtime_s=float("nan"),
+                   **dict.fromkeys(_SWEEP_METRICS, float("nan")))
         return row
-    save_trajectory(traj, cell_dir, fmt=fmt)
     first, last = traj.diagnostics[0], traj.diagnostics[-1]
     phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
     final = traj.snapshots[-1].v
@@ -171,13 +172,19 @@ def _cmd_sweep(args) -> int:
                          "--values")
     if not values:
         raise ConfigError("--values is empty")
+    names = [_format_value(v) for v in values]
+    if len(set(names)) < len(names):  # two cells would write one directory
+        raise ConfigError(f"--values must differ as cell names, got {names}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     out_root = Path(args.out)
-    base_seed = int(base.get("seed", 0))
+    # every cell's config is built, and so checked, before any cell runs
     jobs = []
-    for value in values:
-        for s in range(args.seeds):
-            cell = out_root / f"{args.axis}={_format_value(value)}" / f"seed={base_seed + s}"
-            jobs.append((base, args.axis, value, base_seed + s, cell, args.format))
+    for value, name in zip(values, names):
+        for seed in range(base["seed"], base["seed"] + args.seeds):
+            config = SimConfig.from_dict({**base, args.axis: value, "seed": seed})
+            cell = out_root / f"{args.axis}={name}" / f"seed={seed}"
+            jobs.append((config, args.axis, value, cell, args.format))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_run_cell, jobs))
@@ -185,22 +192,20 @@ def _cmd_sweep(args) -> int:
         rows = [_run_cell(j) for j in jobs]
 
     out_root.mkdir(parents=True, exist_ok=True)
-    cols = ["axis", "value", "seed", "status", "runtime_s",
-            "energy_drift", "momentum_drift", "weak_residual", "bl_to_matched"]
+    cols = ["axis", "value", "seed", "status", "runtime_s", *_SWEEP_METRICS]
     with open(out_root / "summary.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=cols)
         w.writeheader()
         w.writerows(rows)
-    metric_cols = ["energy_drift", "momentum_drift", "weak_residual", "bl_to_matched"]
     with open(out_root / "summary_median.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["axis", "value", "n_ok"] + [f"median_abs_{c}" for c in metric_cols])
-        for value in values:
+        w.writerow(["axis", "value", "n_ok"] + [f"median_abs_{c}" for c in _SWEEP_METRICS])
+        for value, name in zip(values, names):
             ok = [r for r in rows
                   if r["value"] == value and r["status"] == "ok"]
             meds = [float(np.median([abs(r[c]) for r in ok])) if ok else float("nan")
-                    for c in metric_cols]
-            w.writerow([args.axis, _format_value(value), len(ok)] + meds)
+                    for c in _SWEEP_METRICS]
+            w.writerow([args.axis, name, len(ok)] + meds)
     n_bad = sum(r["status"] != "ok" for r in rows)
     print(json.dumps({"out": str(out_root), "runs": len(rows), "failed": n_bad}))
     return 1 if n_bad else 0
@@ -312,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run one simulation from a JSON config")
     ps.add_argument("--config", required=True, help="JSON config file")
     ps.add_argument("--out", required=True, help="output run directory")
-    ps.add_argument("--format", choices=("csv", "bin"), default="csv")
+    ps.add_argument("--format", choices=tuple(SNAPSHOT_FORMATS), default="csv")
     ps.add_argument("--entropy", action="store_true",
                     help="also record nearest-neighbor entropy per snapshot")
     ps.set_defaults(fn=_cmd_simulate)
@@ -336,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--seeds", type=int, default=1, help="number of seeds per value")
     pw.add_argument("--out", required=True, help="sweep output root")
     pw.add_argument("--workers", type=int, default=1)
-    pw.add_argument("--format", choices=("csv", "bin"), default="bin")
+    pw.add_argument("--format", choices=tuple(SNAPSHOT_FORMATS), default="bin")
     pw.set_defaults(fn=_cmd_sweep)
 
     pp = sub.add_parser("plotdata", help="flatten run diagnostics to tidy CSV")
@@ -358,9 +363,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

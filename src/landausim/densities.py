@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import CapabilityError, CoverageError
 
@@ -60,6 +59,8 @@ class DensityModel:
 
 
 def _axis_halfwidth(tail_mass: float, dim: int) -> float:
+    from scipy.special import ndtri  # imported here: the simulator never needs scipy
+
     # split the tail budget across axes and sides; ndtri gives the z-score
     per_side = tail_mass / (2.0 * dim)
     return float(-ndtri(per_side))

@@ -309,10 +309,8 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
     """
     if gamma is None:
         gamma = traj.config.gamma
+    idx = traj._index_at(t)
     times = traj.times
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9:
-        raise StrideError(f"t={t} not on the snapshot grid (nearest {times[idx]})")
     if abs(times[0]) > 1e-12:
         raise StrideError("trajectory does not start at t=0")
 

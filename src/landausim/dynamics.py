@@ -262,14 +262,18 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
 
-    def state_at(self, t: float, tol: float = 1e-9) -> ParticleState:
+    def _index_at(self, t: float, tol: float = 1e-9) -> int:
+        """Index of the snapshot recorded at time t; StrideError if none is."""
         times = self.times
         k = int(np.argmin(np.abs(times - t)))
         if abs(times[k] - t) > tol:
             raise StrideError(
                 f"t={t} not on the snapshot grid (nearest {times[k]}); "
                 "reduce snapshot_stride")
-        return self.snapshots[k]
+        return k
+
+    def state_at(self, t: float, tol: float = 1e-9) -> ParticleState:
+        return self.snapshots[self._index_at(t, tol)]
 
 
 def _default_observer(state: ParticleState) -> dict:
@@ -277,7 +281,7 @@ def _default_observer(state: ParticleState) -> dict:
     return {"momentum": momentum.tolist(), "energy": energy}
 
 
-def run(config: SimConfig, model=None, observers=()) -> Trajectory:
+def run(config: SimConfig, observers=()) -> Trajectory:
     """Integrate from an IID g0 draw to t_end, recording every stride-th step.
 
     Observers are callables state -> dict merged into the diagnostics row of
@@ -285,7 +289,7 @@ def run(config: SimConfig, model=None, observers=()) -> Trajectory:
     the raised BlowupError as `.trajectory` (with `.error` set).
     """
     t0 = time.perf_counter()
-    state = init_iid(config, model)
+    state = init_iid(config)
     pot = config.potential()
     e_target = math.fsum((state.v * state.v).ravel())
     traj = Trajectory(config=config)

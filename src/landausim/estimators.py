@@ -7,8 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .dynamics import _pair_blocks
 from .errors import ConfigError, DegenerateCloudError
@@ -81,6 +79,9 @@ def knn_entropy(points, k: int = 4) -> float:
     Exact duplicate points (zero k-th neighbor distance) get a deterministic
     jitter of scale 1e-12 and a warning reporting how many were perturbed.
     """
+    from scipy.spatial import cKDTree  # imported here: the simulator never needs scipy
+    from scipy.special import digamma
+
     if isinstance(points, EmpiricalMeasure):
         points = points.points
     x = np.atleast_2d(np.asarray(points, dtype=float))

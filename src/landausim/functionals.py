@@ -57,8 +57,6 @@ __all__ = [
     "ibp_identity_check",
     "beta_power_identity_probes",
     "tensor_consistency_D",
-    "gaussian_entropy",
-    "gaussian_fisher",
 ]
 
 _SINGULAR_CUTOFF = 1e-12
@@ -89,16 +87,6 @@ class FunctionalEstimate:
     method: str
     n: int
     n_rejected: int = 0
-
-
-def gaussian_entropy(sigma2, dim: int = 3) -> float:
-    """Closed form (1/1) int f log f for N(m, sigma2 * I_dim)."""
-    return -0.5 * dim * (math.log(2.0 * math.pi * float(sigma2)) + 1.0)
-
-
-def gaussian_fisher(sigma2, dim: int = 3) -> float:
-    """Closed form int |grad f|^2 / f for N(m, sigma2 * I_dim)."""
-    return dim / float(sigma2)
 
 
 def _grid_functional(model: DensityModel, integrand, n_points: int, tail_mass: float):

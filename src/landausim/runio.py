@@ -25,11 +25,7 @@ from . import __version__
 from .dynamics import SimConfig, ParticleState, Trajectory
 from .errors import ConfigError
 
-__all__ = ["save_trajectory", "load_trajectory", "load_config", "write_manifest"]
-
-
-def _snap_name(index: int, fmt: str) -> str:
-    return f"snap_{index:06d}.{'csv' if fmt == 'csv' else 'bin'}"
+__all__ = ["save_trajectory", "load_trajectory", "load_config"]
 
 
 def _write_snapshot_csv(path: Path, state: ParticleState):
@@ -58,45 +54,51 @@ def _read_snapshot_bin(path: Path) -> ParticleState:
     return ParticleState(flat[2:].reshape(-1, 3), t=t, step_index=step_index)
 
 
-def write_manifest(out_dir: Path, config: SimConfig, files, status: str,
-                   runtime_s: float, fmt: str, extra: dict | None = None):
+# snapshot format -> (writer, reader); the format name is the file extension
+SNAPSHOT_FORMATS = {
+    "csv": (_write_snapshot_csv, _read_snapshot_csv),
+    "bin": (_write_snapshot_bin, _read_snapshot_bin),
+}
+
+
+def _snapshot_io(fmt: str):
+    """(writer, reader) of a snapshot format; an unknown one is a ConfigError."""
+    try:
+        return SNAPSHOT_FORMATS[fmt]
+    except KeyError:
+        raise ConfigError(f"unknown snapshot format {fmt!r}; "
+                          f"choose from {list(SNAPSHOT_FORMATS)}") from None
+
+
+def save_trajectory(traj: Trajectory, out_dir, fmt: str = "csv"):
+    """Write manifest + per-snapshot files + diagnostics.jsonl under out_dir."""
+    writer, _ = _snapshot_io(fmt)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    for idx, state in enumerate(traj.snapshots):
+        name = f"snap_{idx:06d}.{fmt}"
+        writer(out / name, state)
+        files.append(name)
+    with open(out / "diagnostics.jsonl", "w") as fh:
+        for row in traj.diagnostics:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
     manifest = {
         "package": "landausim",
         "version": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": config.to_dict(),
-        "eta_effective": config.eta_effective,
+        "config": traj.config.to_dict(),
+        "eta_effective": traj.config.eta_effective,
         "format": fmt,
-        "snapshots": list(files),
-        "status": status,
-        "runtime_s": runtime_s,
+        "snapshots": files,
+        "status": "ok" if traj.error is None else json.dumps(traj.error),
+        "runtime_s": traj.runtime_s,
     }
-    if extra:
-        manifest.update(extra)
-    with open(out_dir / "manifest.json", "w") as fh:
+    with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def save_trajectory(traj: Trajectory, out_dir, fmt: str = "csv"):
-    """Write manifest + per-snapshot files + diagnostics.jsonl under out_dir."""
-    if fmt not in ("csv", "bin"):
-        raise ConfigError(f"format must be 'csv' or 'bin', got {fmt!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    writer = _write_snapshot_csv if fmt == "csv" else _write_snapshot_bin
-    files = []
-    for idx, state in enumerate(traj.snapshots):
-        name = _snap_name(idx, fmt)
-        writer(out / name, state)
-        files.append(name)
-    with open(out / "diagnostics.jsonl", "w") as fh:
-        for row in traj.diagnostics:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    status = "ok" if traj.error is None else json.dumps(traj.error)
-    write_manifest(out, traj.config, files, status, traj.runtime_s, fmt)
     return out
 
 
@@ -120,7 +122,7 @@ def load_trajectory(run_dir) -> Trajectory:
     with open(run / "manifest.json") as fh:
         manifest = json.load(fh)
     config = SimConfig.from_dict(manifest["config"])
-    reader = _read_snapshot_csv if manifest["format"] == "csv" else _read_snapshot_bin
+    _, reader = _snapshot_io(manifest["format"])
     traj = Trajectory(config=config)
     for name in manifest["snapshots"]:
         traj.snapshots.append(reader(run / name))

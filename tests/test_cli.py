@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import landausim
 from landausim import cli as cli_module
+from landausim import dynamics
 from landausim.cli import _pair_observer, main
 from landausim.dynamics import ParticleState
+from landausim.errors import BlowupError
 from landausim.reference import maxwellian_entropy
+from landausim.runio import load_trajectory
 
 
 def cli(*argv):
@@ -27,6 +33,19 @@ def write_config(path: Path, **overrides) -> Path:
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+def blowup_at(monkeypatch, k: int, n: int | None = None):
+    """Make dynamics.step raise BlowupError(k) on the step that would reach
+    step k (only for n-particle states when n is given)."""
+    real_step = dynamics.step
+
+    def step(state, *args, **kwargs):
+        if state.step_index + 1 == k and n in (None, state.n):
+            raise BlowupError(k)
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", step)
 
 
 def run_files(run_dir: Path) -> dict:
@@ -86,6 +105,22 @@ def test_simulate_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "n_partycles": 8}))
     assert cli("simulate", "--config", cfg, "--out", tmp_path / "r") == 2
     assert "n_partycles" in capsys.readouterr().err
+
+
+def test_simulate_blowup_saves_partial_run_and_exits_1(tmp_path, monkeypatch, capsys):
+    blowup_at(monkeypatch, 7)
+    cfg = write_config(tmp_path / "c.json")  # records steps 0, 5, 10
+    out = tmp_path / "run"
+    assert cli("simulate", "--config", cfg, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"blowup at step 7; partial run saved to {out}" in captured.err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert json.loads(manifest["status"]) == {"type": "blowup", "step": 7}
+    assert manifest["snapshots"] == ["snap_000000.csv", "snap_000001.csv"]
+    back = load_trajectory(out)
+    assert back.error == {"type": "blowup", "step": 7}
+    assert [s.step_index for s in back.snapshots] == [0, 5]
 
 
 def test_pair_observer_nan_only_for_degenerate_cloud(monkeypatch):
@@ -228,6 +263,53 @@ def test_sweep_grid_and_summaries(tmp_path, capsys):
     assert all(np.isfinite(float(m["median_abs_weak_residual"])) for m in meds)
 
 
+def test_sweep_blowup_cell_is_recorded_and_exits_1(tmp_path, monkeypatch, capsys):
+    blowup_at(monkeypatch, 3, n=12)
+    cfg = write_config(tmp_path / "c.json", n_particles=8, t_end=0.005,
+                       snapshot_stride=1, seed=3)
+    out = tmp_path / "sweep"
+    assert cli("sweep", "--config", cfg, "--axis", "n_particles",
+               "--values", "8,12", "--out", out, "--format", "csv") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "out": str(out), "runs": 2, "failed": 1}
+    rows = {r["value"]: r for r in
+            csv.DictReader((out / "summary.csv").read_text().splitlines())}
+    assert rows["8"]["status"] == "ok"
+    assert rows["12"]["status"] == "blowup@3"
+    for col in ("runtime_s", "energy_drift", "momentum_drift", "weak_residual",
+                "bl_to_matched"):
+        assert math.isfinite(float(rows["8"][col]))
+        assert math.isnan(float(rows["12"][col]))
+    manifest = json.loads((out / "n_particles=12" / "seed=3" / "manifest.json").read_text())
+    assert json.loads(manifest["status"]) == {"type": "blowup", "step": 3}
+    meds = {m["value"]: m for m in
+            csv.DictReader((out / "summary_median.csv").read_text().splitlines())}
+    assert meds["8"]["n_ok"] == "1" and meds["12"]["n_ok"] == "0"
+    assert math.isnan(float(meds["12"]["median_abs_weak_residual"]))
+
+
+def test_sweep_checks_every_cell_before_any_run(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "sweep"
+    # the second value is a bad config: nothing may run or be written first
+    assert cli("sweep", "--config", cfg, "--axis", "n_particles",
+               "--values", "16,1", "--seeds", "2", "--out", out) == 2
+    assert "n_particles" in capsys.readouterr().err
+    assert not out.exists()
+    for seeds in ("0", "-1"):
+        assert cli("sweep", "--config", cfg, "--axis", "n_particles",
+                   "--values", "16", "--seeds", seeds, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seeds" in captured.err
+        assert not out.exists()
+    # values that share a cell directory name would overwrite each other's run
+    for axis, values in (("n_particles", "16,16"), ("dt", "0.001,0.0010000001")):
+        assert cli("sweep", "--config", cfg, "--axis", axis, "--values", values,
+                   "--out", out) == 2
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     assert cli("sweep", "--config", cfg, "--axis", "seed", "--values", "1",
@@ -249,6 +331,30 @@ def test_verify_all_checks_pass(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
     assert "5/5 checks passed" in out
+
+
+def test_simulate_and_sweep_never_import_scipy(tmp_path):
+    cfg = write_config(tmp_path / "c.json", n_particles=8, t_end=0.002,
+                       snapshot_stride=1)
+    script = f"""
+import sys
+from landausim import cli
+assert "scipy" not in sys.modules, "import landausim.cli"
+assert cli.main(["simulate", "--config", {str(cfg)!r},
+                 "--out", {str(tmp_path / "run")!r}]) == 0
+assert "scipy" not in sys.modules, "simulate"
+assert cli.main(["sweep", "--config", {str(cfg)!r}, "--axis", "n_particles",
+                 "--values", "8", "--out", {str(tmp_path / "sweep")!r}]) == 0
+assert "scipy" not in sys.modules, "sweep"
+assert cli.main(["functionals", "--preset", "maxwellian(1)", "--which", "H"]) == 0
+assert "scipy" in sys.modules, "functionals H"
+"""
+    src = str(Path(landausim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_reports_version():

@@ -7,7 +7,7 @@ from scipy.spatial.distance import pdist
 from landausim.errors import ConfigError, DegenerateCloudError
 from landausim.estimators import (EmpiricalMeasure, knn_entropy, moments,
                                   pair_inverse_square)
-from landausim.functionals import gaussian_entropy
+from landausim.reference import maxwellian_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_pair_statistic_excludes_coincident_pairs():
 def test_knn_entropy_gaussian(rng):
     v = rng.normal(size=(50_000, 3))
     est = knn_entropy(v)
-    assert est == pytest.approx(gaussian_entropy(1.0), abs=0.05)
+    assert est == pytest.approx(maxwellian_entropy(1.0), abs=0.05)
 
 
 def test_knn_entropy_accepts_measure(rng):

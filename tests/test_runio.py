@@ -64,6 +64,15 @@ def test_save_rejects_unknown_format(tmp_path):
         save_trajectory(run(_small_cfg()), tmp_path / "x", "hdf5")
 
 
+def test_load_rejects_unknown_format(tmp_path):
+    out = save_trajectory(run(_small_cfg()), tmp_path / "run", "csv")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["format"] = "hdf5"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="'hdf5'"):
+        load_trajectory(out)
+
+
 def test_csv_header_carries_time_and_step(tmp_path):
     out = save_trajectory(run(_small_cfg()), tmp_path / "run", "csv")
     first = (out / "snap_000000.csv").read_text().splitlines()[0]
