@@ -28,10 +28,11 @@ import numpy as np
 
 from . import __version__
 from .densities import GaussianModel, TensorPower
-from .diagnostics import GaussianBumpFn, bl_distance, weak_form_residual
+from .diagnostics import (BumpWeakIntegrand, GaussianBumpFn, bl_distance,
+                          recorded_weak_residual)
 from .dynamics import SimConfig, run
-from .errors import BlowupError, ConfigError, DegenerateCloudError
-from .estimators import EmpiricalMeasure, knn_entropy, pair_inverse_square
+from .errors import BlowupError, ConfigError
+from .estimators import EmpiricalMeasure, PairStats, knn_entropy
 # J_functional is not called here; cli.J_functional is a name perfbench/tracer.py wraps
 from .functionals import (MCSpec, _check_beta, entropy, entropy_production_D,
                           fisher_information, J_functional, k_family)  # noqa: F401
@@ -42,23 +43,18 @@ from .runio import SNAPSHOT_FORMATS, load_config, load_trajectory, save_trajecto
 __all__ = ["main"]
 
 
-def _pair_observer(state):
-    try:
-        val = pair_inverse_square(EmpiricalMeasure(state.v))
-    except DegenerateCloudError:
-        val = float("nan")
-    return {"pair_inv_sq": val}
-
-
 def _entropy_observer(state):
     return {"knn_entropy": knn_entropy(state.v)}
 
 
-def _run_and_save(config: SimConfig, observers, out, fmt: str):
+def _run_and_save(config: SimConfig, observers, out, fmt: str, pair_observers=()):
     """Run config and save it under out; after a blowup the partial run is
-    saved and returned, with the blowup recorded in its `error`."""
+    saved and returned, with the blowup recorded in its `error`.  Every row
+    gets the PairStats columns of its state, from the step's own pair pass."""
+    eta = config.eta_effective
+    pair_observers = [lambda state: PairStats(eta), *pair_observers]
     try:
-        traj = run(config, observers=observers)
+        traj = run(config, observers=observers, pair_observers=pair_observers)
     except BlowupError as err:
         traj = err.trajectory
     save_trajectory(traj, out, fmt=fmt)
@@ -67,9 +63,7 @@ def _run_and_save(config: SimConfig, observers, out, fmt: str):
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    observers = [_pair_observer]
-    if args.entropy:
-        observers.append(_entropy_observer)
+    observers = [_entropy_observer] if args.entropy else []
     traj = _run_and_save(config, observers, args.out, args.format)
     if traj.error:
         print(f"blowup at step {traj.error['step']}; partial run saved to {args.out}",
@@ -139,14 +133,16 @@ _SWEEP_METRICS = ("energy_drift", "momentum_drift", "weak_residual", "bl_to_matc
 def _run_cell(payload) -> dict:
     """One sweep cell: run, save, summarize (top-level for process pools)."""
     config, axis, value, cell_dir, fmt = payload
-    traj = _run_and_save(config, [_pair_observer], cell_dir, fmt)
+    phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
+    # the weak-form integrand of every recorded state rides the step's pair pass
+    traj = _run_and_save(config, [], cell_dir, fmt, [
+        lambda state: BumpWeakIntegrand(phi, config.gamma, state.v)])
     row = {"axis": axis, "value": value, "seed": config.seed}
     if traj.error:
         row.update(status=f"blowup@{traj.error['step']}", runtime_s=float("nan"),
                    **dict.fromkeys(_SWEEP_METRICS, float("nan")))
         return row
     first, last = traj.diagnostics[0], traj.diagnostics[-1]
-    phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
     final = traj.snapshots[-1].v
     row.update(
         status="ok",
@@ -154,7 +150,7 @@ def _run_cell(payload) -> dict:
         energy_drift=abs(last["energy"] - first["energy"]),
         momentum_drift=float(np.max(np.abs(
             np.asarray(last["momentum"]) - np.asarray(first["momentum"])))),
-        weak_residual=weak_form_residual(traj, phi, traj.times[-1]),
+        weak_residual=recorded_weak_residual(traj, phi),
         bl_to_matched=bl_distance(EmpiricalMeasure(final), matched_maxwellian(final)),
     )
     return row
@@ -177,6 +173,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values must differ as cell names, got {names}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     out_root = Path(args.out)
     # every cell's config is built, and so checked, before any cell runs
     jobs = []
@@ -185,8 +183,9 @@ def _cmd_sweep(args) -> int:
             config = SimConfig.from_dict({**base, args.axis: value, "seed": seed})
             cell = out_root / f"{args.axis}={name}" / f"seed={seed}"
             jobs.append((config, args.axis, value, cell, args.format))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, jobs))
     else:
         rows = [_run_cell(j) for j in jobs]

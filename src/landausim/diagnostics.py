@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DensityModel, grid_integrate
+from .densities import DensityModel, GaussianModel, grid_integrate
 from .dynamics import Trajectory, _pair_blocks
 from .errors import ConfigError, StrideError
 from .estimators import EmpiricalMeasure
@@ -33,7 +33,8 @@ from .smoothstep import smoothstep, smoothstep_d1, smoothstep_d2
 __all__ = [
     "GaussianBumpFn", "ConstantFn", "AffineFn", "QuadraticFn", "RadialBumpFn",
     "TestFunctionDictionary", "default_dictionary", "bl_distance",
-    "holder_seminorm", "weak_form_residual", "bump_h",
+    "holder_seminorm", "weak_form_residual", "BumpWeakIntegrand",
+    "recorded_weak_residual", "bump_h",
     "is_delta_nonaligned", "NonAlignedTriple", "find_nonaligned_triple",
     "ball_mass", "iota", "increment_scaling_exponent",
 ]
@@ -193,6 +194,15 @@ def _integral(target, fn, lo, hi) -> float:
     return grid_integrate(lambda X: fn(X) * target.density(X), lo, hi, 41)
 
 
+def _bump_gaussian_integral(phi: GaussianBumpFn, model: GaussianModel) -> float:
+    """int phi dN(m, S) = A s^3 det(S + s^2 I)^(-1/2) exp(-q/2), with
+    q = (c - m)^T (S + s^2 I)^(-1) (c - m), for phi = A exp(-|x - c|^2 / (2 s^2))."""
+    cov = model.cov + phi.scale**2 * np.eye(3)
+    d = phi.center - model.mean
+    q = float(d @ np.linalg.solve(cov, d))
+    return phi.amplitude * phi.scale**3 * math.exp(-0.5 * q) / math.sqrt(np.linalg.det(cov))
+
+
 def _lattice_centers(radius: float):
     m = int(math.floor(radius))
     pts = [np.array(c, dtype=float)
@@ -240,7 +250,11 @@ class TestFunctionDictionary:
         return 2.0 * 0.5 ** self.n_max
 
     def integrals(self, target) -> np.ndarray:
-        """Vector of int phi_n d(target) for a cloud or a density model."""
+        """Vector of int phi_n d(target) for a cloud or a density model; in
+        closed form for a Gaussian model."""
+        target = _as_target(target)
+        if isinstance(target, GaussianModel):
+            return np.array([_bump_gaussian_integral(phi, target) for phi in self.functions])
         return np.array([_integral(target, phi.value, phi.center - 8.0 * phi.scale,
                                    phi.center + 8.0 * phi.scale)
                          for phi in self.functions])
@@ -333,11 +347,70 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
         # gradient and Hessian contributions; the gradient bracket is applied
         # per ordered pair, so it alone picks up a second factor of two
         vals[m] = (2.0 * term_b + term_a) / n**2
+    return _residual(traj, phi, vals)
 
+
+def _residual(traj: Trajectory, phi, vals) -> float:
+    """-int phi dmu_t + int phi dmu_0 + the trapezoid of the integrand vals
+    over the first len(vals) snapshots, t being the last of them."""
+    idx = len(vals) - 1
+    times = traj.times
     integral = float(np.trapezoid(vals, times[: idx + 1])) if idx > 0 else 0.0
     mean_t = float(np.mean(phi.value(traj.snapshots[idx].v)))
     mean_0 = float(np.mean(phi.value(traj.snapshots[0].v)))
     return -mean_t + mean_0 + integral
+
+
+class BumpWeakIntegrand:
+    """Pair consumer: the snapshot integrand of `weak_form_residual` for a
+    Gaussian bump phi, with the bare alpha = r^gamma, on the blocks of a pair
+    pass over the cloud v.
+
+    With d_i = V_i - c and s the bump's scale, grad phi_i = -phi_i d_i / s^2
+    and a(z) : Hess phi_i = phi_i |z x d_i|^2 / s^4 - 2 phi_i |z|^2 / s^2, so
+    no 3x3 Hessian is gathered.  By Lagrange's identity
+    |z x d_i|^2 = |z|^2 |d_i|^2 - u_i^2 with u_i = z . d_i, and u_j = u_i - |z|^2,
+    so a pair adds alpha [phi_i (|z|^2 (|d_i|^2 - 2 s^2) + u_i (4 s^2 - u_i))
+    + phi_j (|z|^2 (|d_j|^2 - 2 s^2) - u_j (4 s^2 + u_j))] / (N^2 s^4).
+    row() gives {"weak_integrand": value}.
+    """
+
+    def __init__(self, phi: GaussianBumpFn, gamma: float, v):
+        s2 = phi.scale**2
+        d = v - phi.center
+        self.half_gamma = 0.5 * gamma
+        self.four_s2 = 4.0 * s2
+        self.phi = phi.value(v)
+        self.d = d.T.copy()  # one row per coordinate, for one-dimensional gathers
+        self.e = np.einsum("pc,pc->p", d, d) - 2.0 * s2
+        self.norm = 1.0 / (v.shape[0] ** 2 * s2**2)
+        self.total = 0.0
+
+    def add(self, iu, ju, z, r2):
+        alpha = np.where(r2 > 0.0, alpha_bare(self.half_gamma, r2), 0.0)  # |z|^gamma
+        u = z[:, 0] * np.take(self.d[0], iu)
+        u += z[:, 1] * np.take(self.d[1], iu)
+        u += z[:, 2] * np.take(self.d[2], iu)
+        g = r2 * np.take(self.e, iu)
+        g += u * (self.four_s2 - u)
+        g *= np.take(self.phi, iu)
+        u -= r2
+        h = r2 * np.take(self.e, ju)
+        h -= u * (self.four_s2 + u)
+        h *= np.take(self.phi, ju)
+        g += h
+        self.total += float(alpha @ g)
+
+    def row(self) -> dict:
+        return {"weak_integrand": self.total * self.norm}
+
+
+def recorded_weak_residual(traj: Trajectory, phi: GaussianBumpFn) -> float:
+    """`weak_form_residual(traj, phi, traj.times[-1])` from the
+    "weak_integrand" column that BumpWeakIntegrand wrote into every
+    diagnostics row of the run."""
+    return _residual(traj, phi, np.array([row["weak_integrand"]
+                                          for row in traj.diagnostics]))
 
 
 # ---------------------------------------------------------------------------

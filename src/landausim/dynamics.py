@@ -13,11 +13,16 @@ pairwise so the kinetic energy sum_i |V_i|^2 is conserved by the continuous
 dynamics; the Euler-Maruyama step leaves an O(dt) energy error that
 energy_mode="rescale" removes by an affine rescaling about the mean.
 
-Noise is counter-based: step s of a run with seed q draws all N(N-1)/2 pair
-increments as one array from Philox keyed by (q, "pair", s), in upper-triangle
-rank order, so the increment of NoiseKey(q, s, i, j) is a pure function of the
-key and trajectories are reproducible bit for bit.  The step (and every other
-pair sweep) walks the pairs in row blocks of that same rank order.
+Noise is counter-based: step s of a run with seed q draws its N(N-1)/2 pair
+increments from Philox keyed by (q, "pair", s), in upper-triangle rank order,
+so the increment of NoiseKey(q, s, i, j) is a pure function of the key and
+trajectories are reproducible bit for bit.  The step (and every other pair
+sweep) walks the pairs in row blocks of that rank order and draws each
+block's increments from the stream as it reaches the block: the consecutive
+draws are exactly the rows of `pair_noise`'s single draw, so
+`NoiseKey.increment` is the increment the step applies, and a step holds one
+block of noise, not all N(N-1)/2 rows.  The same walk feeds the pair
+observers of `run` on the states it records.
 """
 
 from __future__ import annotations
@@ -175,8 +180,16 @@ def _pair_blocks(v: np.ndarray):
         yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, np.einsum("pc,pc->p", z, z)
 
 
+def _feed_pairs(v: np.ndarray, consumers) -> None:
+    """One pair pass over v that only feeds the consumers' add(iu, ju, z, r2)."""
+    for _, iu, ju, z, r2 in _pair_blocks(v):
+        for c in consumers:
+            c.add(iu, ju, z, r2)
+
+
 def pair_noise(seed: int, step_index: int, n: int, dt: float) -> np.ndarray:
-    """All pair increments of one step, shape (n(n-1)/2, 3), in rank order."""
+    """All pair increments of one step, shape (n(n-1)/2, 3), in rank order;
+    the step draws the same numbers one block at a time."""
     n_pairs = n * (n - 1) // 2
     g = _stream(seed, _DOMAIN_PAIR, step_index)
     return math.sqrt(dt) * g.standard_normal((n_pairs, 3))
@@ -209,22 +222,33 @@ def _rescale_energy(v: np.ndarray, e_target: float) -> np.ndarray:
 
 def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = None,
          noise: np.ndarray | None = None,
-         e_target: float | None = None) -> ParticleState:
-    """One Euler-Maruyama step; `noise` overrides the keyed pair increments."""
+         e_target: float | None = None, consumers=()) -> ParticleState:
+    """One Euler-Maruyama step; `noise` overrides the keyed pair increments.
+
+    Each of `consumers` gets add(iu, ju, z, r2) for every block of the pair
+    pass over the starting state, before the step checks its result.
+    """
     if pot is None:
         pot = config.potential()
     v = state.v
     n = v.shape[0]
     if noise is None:
-        noise = pair_noise(config.seed, state.step_index, n, config.dt)
-    noise = noise.reshape(n * (n - 1) // 2, 3)  # rejects an override of the wrong size
+        stream = _stream(config.seed, _DOMAIN_PAIR, state.step_index)
+        sqrt_dt = math.sqrt(config.dt)
+    else:
+        noise = noise.reshape(n * (n - 1) // 2, 3)  # rejects an override of the wrong size
     w_noise = math.sqrt(2.0 / (n - 1))
     w_drift = -4.0 * config.dt / (n - 1)
     # each side adds in rank order, as one bincount over all pairs would
     acc_i = np.zeros_like(v)
     acc_j = np.zeros_like(v)
     for lo, iu, ju, z, r2 in _pair_blocks(v):
-        db = noise[lo:lo + iu.size]
+        for c in consumers:
+            c.add(iu, ju, z, r2)
+        if noise is None:
+            db = sqrt_dt * stream.standard_normal((iu.size, 3))
+        else:
+            db = noise[lo:lo + iu.size]
         r = np.sqrt(r2)
         alpha = alpha_reg(pot, r)
         # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
@@ -281,12 +305,17 @@ def _default_observer(state: ParticleState) -> dict:
     return {"momentum": momentum.tolist(), "energy": energy}
 
 
-def run(config: SimConfig, observers=()) -> Trajectory:
+def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     """Integrate from an IID g0 draw to t_end, recording every stride-th step.
 
     Observers are callables state -> dict merged into the diagnostics row of
-    each recorded snapshot.  On blowup the partial trajectory is attached to
-    the raised BlowupError as `.trajectory` (with `.error` set).
+    each recorded snapshot.  Pair observers are callables state -> consumer:
+    the consumer gets add(iu, ju, z, r2) for every block of a pair pass over
+    the recorded state (the next step's own pass; one pass of its own for the
+    final state) and its row() -> dict is then merged into the state's row.
+    On blowup the partial trajectory is attached to the raised BlowupError
+    as `.trajectory` (with `.error` set); the state the failed step started
+    from was fully passed, so its row is complete.
     """
     t0 = time.perf_counter()
     state = init_iid(config)
@@ -295,24 +324,36 @@ def run(config: SimConfig, observers=()) -> Trajectory:
     traj = Trajectory(config=config)
 
     def record_state(s: ParticleState):
+        """Append s and its row; returns the consumers that complete the row."""
         traj.snapshots.append(s.copy())
         row = {"step": s.step_index, "t": s.t}
         row.update(_default_observer(s))
         for obs in observers:
             row.update(obs(s))
         traj.diagnostics.append(row)
+        return [make(s) for make in pair_observers]
 
-    record_state(state)
+    def complete_row(consumers):
+        for c in consumers:
+            traj.diagnostics[-1].update(c.row())
+
+    consumers = record_state(state)
     n_steps = config.n_steps
     try:
         for k in range(n_steps):
-            state = step(state, config, pot, e_target=e_target)
+            state = step(state, config, pot, e_target=e_target, consumers=consumers)
+            complete_row(consumers)
+            consumers = ()
             if state.step_index % config.snapshot_stride == 0 or k == n_steps - 1:
-                record_state(state)
+                consumers = record_state(state)
     except BlowupError as err:
+        complete_row(consumers)
         traj.error = {"type": "blowup", "step": err.step_index}
         traj.runtime_s = time.perf_counter() - t0
         err.trajectory = traj
         raise
+    if consumers:  # the final state: no step starts from it
+        _feed_pairs(state.v, consumers)
+        complete_row(consumers)
     traj.runtime_s = time.perf_counter() - t0
     return traj

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _pair_blocks
+from .dynamics import _feed_pairs
 from .errors import ConfigError, DegenerateCloudError
 
-__all__ = ["EmpiricalMeasure", "moments", "pair_inverse_square", "knn_entropy"]
+__all__ = ["EmpiricalMeasure", "moments", "PairStats", "pair_inverse_square", "knn_entropy"]
 
 _PAIR_CUTOFF = 1e-14
 
@@ -48,25 +48,50 @@ def moments(mu: EmpiricalMeasure, max_order: int = 4) -> dict:
     return {"mean": mean, "energy": float(math.fsum(speed**2)) / n, "radial": radial}
 
 
+class PairStats:
+    """Pair statistics of one cloud, accumulated over the blocks of a pair pass.
+
+    `row()` gives the mean of 1/r^2 over the pairs with r >= _PAIR_CUTOFF
+    (NaN when no pair is that far apart), the smallest pair distance and the
+    number of pairs closer than eta; `kept` and `excluded` count the pairs on
+    either side of the cutoff.
+    """
+
+    def __init__(self, eta: float = 0.0):
+        self.eta_sq = eta * eta
+        self.total = 0.0
+        self.kept = self.excluded = self.below_eta = 0
+        self.min_r2 = math.inf
+
+    def add(self, iu, ju, z, r2):
+        good = r2 >= _PAIR_CUTOFF**2
+        kept = int(np.count_nonzero(good))
+        self.kept += kept
+        self.excluded += r2.size - kept
+        self.total += float(np.sum(1.0 / r2[good]))
+        self.min_r2 = min(self.min_r2, float(np.min(r2)))
+        self.below_eta += int(np.count_nonzero(r2 < self.eta_sq))
+
+    def row(self) -> dict:
+        return {"pair_inv_sq": self.total / self.kept if self.kept else math.nan,
+                "min_pair_dist": math.sqrt(self.min_r2),
+                "n_pairs_below_eta": self.below_eta}
+
+
 def pair_inverse_square(mu: EmpiricalMeasure, return_excluded: bool = False):
     """Pair statistic (2/(N(N-1))) sum_{i<j} |V_i - V_j|^{-2}.
 
     Pairs closer than 1e-14 are excluded from the average and counted; if
-    every pair is degenerate a DegenerateCloudError is raised.
+    every pair is degenerate a DegenerateCloudError is raised.  The value is
+    that of PairStats, here fed by a pass of its own.
     """
     if mu.n < 2:
         raise DegenerateCloudError("need at least two points")
-    total = 0.0
-    kept = 0
-    excluded = 0
-    for *_, r2 in _pair_blocks(mu.points):
-        good = r2 >= _PAIR_CUTOFF**2
-        excluded += int(np.sum(~good))
-        kept += int(np.sum(good))
-        total += float(np.sum(1.0 / r2[good]))
-    if kept == 0:
+    stats = PairStats()
+    _feed_pairs(mu.points, [stats])
+    if stats.kept == 0:
         raise DegenerateCloudError("all pairs closer than the cutoff")
-    value = total / kept
+    value, excluded = stats.total / stats.kept, stats.excluded
     if return_excluded:
         return value, excluded
     return value

@@ -12,9 +12,11 @@ import pytest
 import landausim
 from landausim import cli as cli_module
 from landausim import dynamics
-from landausim.cli import _pair_observer, main
+from landausim.cli import main
+from landausim.diagnostics import GaussianBumpFn, weak_form_residual
 from landausim.dynamics import ParticleState
 from landausim.errors import BlowupError
+from landausim.estimators import EmpiricalMeasure, PairStats, pair_inverse_square
 from landausim.reference import maxwellian_entropy
 from landausim.runio import load_trajectory
 
@@ -123,17 +125,33 @@ def test_simulate_blowup_saves_partial_run_and_exits_1(tmp_path, monkeypatch, ca
     assert [s.step_index for s in back.snapshots] == [0, 5]
 
 
-def test_pair_observer_nan_only_for_degenerate_cloud(monkeypatch):
-    row = _pair_observer(ParticleState(np.ones((6, 3))))  # every pair coincident
-    assert list(row) == ["pair_inv_sq"] and np.isnan(row["pair_inv_sq"])
-    assert _pair_observer(ParticleState(np.eye(3)))["pair_inv_sq"] == 0.5
+def test_pair_observer_nan_only_for_degenerate_cloud(tmp_path, monkeypatch, capsys):
+    # the pair columns of a simulate run come from the step's own pair pass
+    def rows_from(v):
+        v = np.asarray(v, dtype=float)
+        monkeypatch.setattr(dynamics, "init_iid", lambda config: ParticleState(v.copy()))
+        cfg = write_config(tmp_path / "c.json", n_particles=len(v))
+        out = tmp_path / f"run{len(v)}"
+        assert cli("simulate", "--config", cfg, "--out", out) == 0
+        return [json.loads(line) for line in
+                (out / "diagnostics.jsonl").read_text().splitlines()]
 
-    def broken(mu):
+    rows = rows_from(np.ones((6, 3)))  # every pair coincident, for every step
+    assert len(rows) == 3
+    for row in rows:
+        assert np.isnan(row["pair_inv_sq"])
+        assert row["min_pair_dist"] == 0.0 and row["n_pairs_below_eta"] == 15
+    first = rows_from(np.eye(3))[0]
+    assert first["pair_inv_sq"] == 0.5
+    assert first["min_pair_dist"] == math.sqrt(2.0) and first["n_pairs_below_eta"] == 0
+
+    def broken(self, iu, ju, z, r2):
         raise ValueError("not a degenerate cloud")
 
-    monkeypatch.setattr(cli_module, "pair_inverse_square", broken)
+    monkeypatch.setattr(PairStats, "add", broken)
     with pytest.raises(ValueError):
-        _pair_observer(ParticleState(np.eye(3)))
+        rows_from(np.eye(3))
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +314,12 @@ def test_sweep_checks_every_cell_before_any_run(tmp_path, capsys):
                "--values", "16,1", "--seeds", "2", "--out", out) == 2
     assert "n_particles" in capsys.readouterr().err
     assert not out.exists()
-    for seeds in ("0", "-1"):
+    for flag, bad in (("--seeds", "0"), ("--seeds", "-1"),
+                      ("--workers", "0"), ("--workers", "-3")):
         assert cli("sweep", "--config", cfg, "--axis", "n_particles",
-                   "--values", "16", "--seeds", seeds, "--out", out) == 2
+                   "--values", "16", flag, bad, "--out", out) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--seeds" in captured.err
+        assert captured.out == "" and flag in captured.err
         assert not out.exists()
     # values that share a cell directory name would overwrite each other's run
     for axis, values in (("n_particles", "16,16"), ("dt", "0.001,0.0010000001")):
@@ -308,6 +327,54 @@ def test_sweep_checks_every_cell_before_any_run(tmp_path, capsys):
                    "--out", out) == 2
         assert "--values" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, capsys):
+    pools = []
+
+    class Pool:  # records the pool size and runs the cells in this process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", Pool)
+    cfg = write_config(tmp_path / "c.json", n_particles=8, t_end=0.002)
+    for values, seeds, workers, expect in (("8", "1", "3", []), ("8", "2", "3", [2]),
+                                           ("8,12", "2", "3", [3])):
+        pools.clear()
+        assert cli("sweep", "--config", cfg, "--axis", "n_particles", "--values", values,
+                   "--seeds", seeds, "--workers", workers,
+                   "--out", tmp_path / f"s{values}-{seeds}") == 0
+        assert pools == expect
+    capsys.readouterr()
+
+
+def test_sweep_weak_residual_from_the_step_pass_matches_post_hoc(tmp_path, capsys):
+    # N = 128 and 256 cells, one recorded every step and one every third step
+    phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
+    for stride in (1, 3):
+        cfg = write_config(tmp_path / "c.json", n_particles=128, t_end=0.02, seed=3,
+                           snapshot_stride=stride)
+        out = tmp_path / f"sweep{stride}"
+        assert cli("sweep", "--config", cfg, "--axis", "n_particles",
+                   "--values", "128,256", "--out", out) == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
+        for row in rows:
+            traj = load_trajectory(out / f"n_particles={row['value']}" / "seed=3")
+            assert [s.step_index for s in traj.snapshots][-1] == 20
+            want = weak_form_residual(traj, phi, traj.times[-1])
+            assert float(row["weak_residual"]) == pytest.approx(want, rel=1e-12, abs=0)
+            for snap, diag in zip(traj.snapshots, traj.diagnostics):
+                assert diag["pair_inv_sq"] == pair_inverse_square(EmpiricalMeasure(snap.v))
 
 
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from landausim.diagnostics import (AffineFn, ConstantFn, GaussianBumpFn,
-                                   NonAlignedTriple, QuadraticFn, RadialBumpFn,
+import landausim.diagnostics as diagnostics
+from landausim.diagnostics import (AffineFn, BumpWeakIntegrand, ConstantFn,
+                                   GaussianBumpFn, NonAlignedTriple, QuadraticFn, RadialBumpFn,
                                    TestFunctionDictionary as PhiDictionary,
                                    ball_mass,
                                    bl_distance, bump_h, default_dictionary,
                                    find_nonaligned_triple, holder_seminorm,
                                    increment_scaling_exponent,
                                    is_delta_nonaligned, iota,
-                                   weak_form_residual)
-from landausim.densities import GaussianMixtureModel
-from landausim.dynamics import ParticleState, SimConfig, Trajectory, run
+                                   recorded_weak_residual, weak_form_residual)
+from landausim.densities import GaussianMixtureModel, GaussianModel, grid_integrate
+from landausim.dynamics import ParticleState, SimConfig, Trajectory, _feed_pairs, run
 from landausim.errors import ConfigError, StrideError
 from landausim.estimators import EmpiricalMeasure
-from landausim.reference import maxwellian
+from landausim.reference import matched_maxwellian, maxwellian
 
 
 def _fd_check(fn, X, tol_g=1e-6, tol_h=1e-5):
@@ -107,6 +108,41 @@ def test_dictionary_integrals_density_vs_cloud(rng):
     from_model = dic.integrals(model)
     from_cloud = dic.integrals(model.sample(rng, 400_000))
     assert np.max(np.abs(from_model - from_cloud)) < 5e-3
+
+
+def _grid_integrals(dic, model):
+    return np.array([diagnostics._integral(model, phi.value, phi.center - 8.0 * phi.scale,
+                                           phi.center + 8.0 * phi.scale)
+                     for phi in dic.functions])
+
+
+def test_dictionary_integrals_gaussian_closed_form_matches_grid(rng, monkeypatch):
+    dic = default_dictionary()
+    calls = []
+    monkeypatch.setattr(diagnostics, "grid_integrate",
+                        lambda *a, **k: calls.append(1) or grid_integrate(*a, **k))
+    for model in (maxwellian(1.0), matched_maxwellian(1.3 * rng.normal(size=(256, 3)) + 0.2)):
+        closed = dic.integrals(model)
+        assert calls == []  # a Gaussian target needs no quadrature
+        np.testing.assert_allclose(closed, _grid_integrals(dic, model), rtol=0, atol=1e-9)
+        calls.clear()
+
+
+def test_dictionary_integrals_mixture_takes_the_grid(monkeypatch):
+    dic = default_dictionary()
+    mix = GaussianMixtureModel([0.5, 0.5], [np.zeros(3), np.full(3, 0.5)],
+                               [np.eye(3), 2.0 * np.eye(3)])
+    calls = []
+    monkeypatch.setattr(diagnostics, "grid_integrate",
+                        lambda *a, **k: calls.append(1) or grid_integrate(*a, **k))
+    got = dic.integrals(mix)
+    assert len(calls) == dic.n_max
+    np.testing.assert_array_equal(got, _grid_integrals(dic, mix))
+    # a single-component mixture is the Gaussian: the grid agrees with the closed form
+    one = GaussianMixtureModel([1.0], [np.zeros(3)], [np.eye(3)])
+    np.testing.assert_allclose(dic.integrals(one),
+                               dic.integrals(GaussianModel(np.zeros(3), np.eye(3))),
+                               rtol=0, atol=1e-9)
 
 
 def test_bl_distance_axioms(rng):
@@ -241,6 +277,27 @@ def test_weak_residual_skips_coincident_pairs(residual_traj):
               + float(np.trapezoid(vals, traj.times)))
     got = weak_form_residual(traj, phi, traj.times[-1])
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("coincident", [False, True])
+def test_bump_integrand_matches_weak_form_residual(residual_traj, coincident):
+    # the pair-pass integrand, fed block by block, against the post-hoc residual
+    snaps = []
+    for s in residual_traj.snapshots:
+        v = s.v.copy()
+        if coincident:
+            v[1] = v[0]
+        snaps.append(ParticleState(v, s.t, s.step_index))
+    phi = GaussianBumpFn([0.3, 0.0, -0.2], 0.8, 0.5)
+    gamma = residual_traj.config.gamma
+    rows = []
+    for s in snaps:
+        consumer = BumpWeakIntegrand(phi, gamma, s.v)
+        _feed_pairs(s.v, [consumer])
+        rows.append(consumer.row())
+    traj = Trajectory(config=residual_traj.config, snapshots=snaps, diagnostics=rows)
+    want = weak_form_residual(traj, phi, traj.times[-1])
+    assert recorded_weak_residual(traj, phi) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_weak_residual_stride_errors(residual_traj):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from landausim.dynamics import (NoiseKey, ParticleState, SimConfig,
                                 Trajectory, conserved_quantities, init_iid,
                                 pair_noise, run, step)
 from landausim.errors import BlowupError, ConfigError, StrideError
+from landausim.estimators import EmpiricalMeasure, PairStats, pair_inverse_square
 from landausim.potentials import diffusion_sigmaN, drift_bN
 
 
@@ -122,6 +124,28 @@ def test_pair_noise_shape_determinism_and_scale():
     assert np.any(pair_noise(10, 4, 8, 0.25) != a)  # new seed, new draw
     big = pair_noise(0, 0, 200, 4.0)
     assert big.std() == pytest.approx(2.0, rel=0.02)  # sqrt(dt) scaling
+
+
+@pytest.mark.parametrize("n", [3, 400])  # N = 400 walks two row blocks
+def test_block_noise_is_the_keyed_array(n):
+    cfg = _cfg(n_particles=n, seed=11)
+    state = ParticleState(init_iid(cfg).v, step_index=5)
+    keyed = step(state, cfg, noise=pair_noise(cfg.seed, 5, n, cfg.dt))
+    np.testing.assert_array_equal(step(state, cfg).v, keyed.v)
+
+
+def test_step_peak_allocation_is_one_block():
+    # the noise is drawn per block: one step at N = 2048 (2.1e6 pairs) holds
+    # no (P, 3) array, which alone would take 50 MB
+    cfg = _cfg(n_particles=2048, gamma=-3.0, eta=None, seed=1)
+    state = init_iid(cfg)
+    tracemalloc.start()
+    try:
+        step(state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def test_noise_key_increment_indexes_the_shared_array():
@@ -315,6 +339,44 @@ def test_run_observers_merge_rows():
     traj = run(_cfg(t_end=0.002, dt=1e-3), observers=(spy,))
     assert seen == [0, 1, 2]
     assert all("maxv" in row and "energy" in row for row in traj.diagnostics)
+
+
+def _check_pair_rows(traj, eta):
+    for snap, row in zip(traj.snapshots, traj.diagnostics, strict=True):
+        assert row["pair_inv_sq"] == pair_inverse_square(EmpiricalMeasure(snap.v))
+        z = snap.v[:, None, :] - snap.v[None, :, :]
+        r = np.sqrt(np.sum(z * z, axis=-1))[np.triu_indices(snap.n, k=1)]
+        assert row["min_pair_dist"] == pytest.approx(r.min(), rel=1e-15)
+        assert row["n_pairs_below_eta"] == int(np.sum(r < eta))
+
+
+@pytest.mark.parametrize("kw", [dict(snapshot_stride=1), dict(snapshot_stride=3),
+                                dict(t_end=0.0)], ids=["stride1", "stride3", "t_end0"])
+def test_pair_observers_ride_the_step_pass(kw):
+    cfg = _cfg(**{"n_particles": 40, "t_end": 0.01, "eta": 0.5, **kw})
+    traj = run(cfg, pair_observers=[lambda s: PairStats(cfg.eta_effective)])
+    assert traj.snapshots[-1].step_index == cfg.n_steps  # final state: own pass
+    assert sum(row["n_pairs_below_eta"] for row in traj.diagnostics) > 0
+    _check_pair_rows(traj, cfg.eta_effective)
+
+
+def test_pair_observers_survive_a_blowup(monkeypatch):
+    # the failed step's pass ran before its finite check, so the last row is whole
+    real_step = dynamics.step
+
+    def step_then_blow_up(state, *args, **kwargs):
+        out = real_step(state, *args, **kwargs)
+        if out.step_index == 7:
+            raise BlowupError(7)
+        return out
+
+    monkeypatch.setattr(dynamics, "step", step_then_blow_up)
+    cfg = _cfg(n_particles=40, snapshot_stride=3)
+    with pytest.raises(BlowupError) as exc:
+        run(cfg, pair_observers=[lambda s: PairStats(cfg.eta_effective)])
+    traj = exc.value.trajectory
+    assert [s.step_index for s in traj.snapshots] == [0, 3, 6]
+    _check_pair_rows(traj, cfg.eta_effective)
 
 
 def test_blowup_attaches_partial_trajectory():
