@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensityModel, GaussianModel, grid_integrate
-from .dynamics import Trajectory, _pair_blocks
+from .dynamics import Trajectory, _PairWalk, _borrow, _pair_blocks, _take
 from .errors import ConfigError, StrideError
 from .estimators import EmpiricalMeasure
 from .potentials import alpha_bare
@@ -372,10 +372,12 @@ class BumpWeakIntegrand:
     |z x d_i|^2 = |z|^2 |d_i|^2 - u_i^2 with u_i = z . d_i, and u_j = u_i - |z|^2,
     so a pair adds alpha [phi_i (|z|^2 (|d_i|^2 - 2 s^2) + u_i (4 s^2 - u_i))
     + phi_j (|z|^2 (|d_j|^2 - 2 s^2) - u_j (4 s^2 + u_j))] / (N^2 s^4).
-    row() gives {"weak_integrand": value}.
+    row() gives {"weak_integrand": value}.  The temporaries are borrowed
+    from `walk`.
     """
 
-    def __init__(self, phi: GaussianBumpFn, gamma: float, v):
+    def __init__(self, phi: GaussianBumpFn, gamma: float, v, walk: _PairWalk | None = None):
+        self.walk = walk
         s2 = phi.scale**2
         d = v - phi.center
         self.half_gamma = 0.5 * gamma
@@ -387,17 +389,20 @@ class BumpWeakIntegrand:
         self.total = 0.0
 
     def add(self, iu, ju, z, r2):
-        alpha = np.where(r2 > 0.0, alpha_bare(self.half_gamma, r2), 0.0)  # |z|^gamma
-        u = z[:, 0] * np.take(self.d[0], iu)
-        u += z[:, 1] * np.take(self.d[1], iu)
-        u += z[:, 2] * np.take(self.d[2], iu)
-        g = r2 * np.take(self.e, iu)
-        g += u * (self.four_s2 - u)
-        g *= np.take(self.phi, iu)
+        (alpha, u, t, g, h), far = _borrow(self.walk, r2.size, 5)
+        np.greater(r2, 0.0, out=far)
+        alpha.fill(0.0)
+        np.power(r2, self.half_gamma, out=alpha, where=far)  # |z|^gamma, 0 at z = 0
+        np.multiply(z[:, 0], _take(self.d[0], iu, t), out=u)
+        u += np.multiply(z[:, 1], _take(self.d[1], iu, t), out=t)
+        u += np.multiply(z[:, 2], _take(self.d[2], iu, t), out=t)
+        np.multiply(r2, _take(self.e, iu, g), out=g)
+        g += np.multiply(u, np.subtract(self.four_s2, u, out=t), out=t)
+        g *= _take(self.phi, iu, t)
         u -= r2
-        h = r2 * np.take(self.e, ju)
-        h -= u * (self.four_s2 + u)
-        h *= np.take(self.phi, ju)
+        np.multiply(r2, _take(self.e, ju, h), out=h)
+        h -= np.multiply(u, np.add(self.four_s2, u, out=t), out=t)
+        h *= _take(self.phi, ju, t)
         g += h
         self.total += float(alpha @ g)
 

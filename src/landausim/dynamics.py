@@ -23,6 +23,14 @@ draws are exactly the rows of `pair_noise`'s single draw, so
 `NoiseKey.increment` is the increment the step applies, and a step holds one
 block of noise, not all N(N-1)/2 rows.  The same walk feeds the pair
 observers of `run` on the states it records.
+
+A `_PairWalk` holds one block of every temporary of that pass: the pair
+indices, z and |z|^2, the noise and the kernel terms.  `run` builds one
+before its first step and hands it to every step, so a run allocates no
+block-length array after it starts (freed and re-allocated blocks would be
+trimmed and faulted back in by the allocator on every block).  The arrays a
+walk yields are views of its buffers, valid until the next block; pair
+consumers borrow its idle term buffers for their own temporaries.
 """
 
 from __future__ import annotations
@@ -51,6 +59,13 @@ __all__ = [
 _DOMAIN_INIT = 0x696E6974   # "init"
 _DOMAIN_PAIR = 0x70616972   # "pair"
 
+_NUMBER = (int, float)
+# the type of every numeric SimConfig field; a bool is refused although it is an int
+_FIELD_TYPES = {"n_particles": int, "gamma": _NUMBER, "dt": _NUMBER, "t_end": _NUMBER,
+                "seed": int, "eta": (*_NUMBER, type(None)), "eta_c": _NUMBER,
+                "eta_kappa": _NUMBER, "theta": _NUMBER, "snapshot_stride": int}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters; eta defaults to clip(eta_c * N**-eta_kappa, 1e-4, 1)."""
@@ -69,17 +84,22 @@ class SimConfig:
     g0: str = "maxwellian(1)"
 
     def __post_init__(self):
-        if not (isinstance(self.n_particles, int) and self.n_particles >= 2):
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an int" if kinds is int else "a number"
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if self.n_particles < 2:
             raise ConfigError(f"n_particles must be an int >= 2, got {self.n_particles}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.t_end >= 0 and np.isfinite(self.t_end)):
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative int, got {self.seed}")
         if self.energy_mode not in ("none", "rescale"):
             raise ConfigError(f"energy_mode must be 'none' or 'rescale', got {self.energy_mode!r}")
-        if not (isinstance(self.snapshot_stride, int) and self.snapshot_stride >= 1):
+        if self.snapshot_stride < 1:
             raise ConfigError(f"snapshot_stride must be an int >= 1, got {self.snapshot_stride}")
         self.potential()  # validates gamma/eta/theta
 
@@ -166,23 +186,82 @@ class NoiseKey:
 _PAIR_BLOCK = 1 << 16
 
 
+def _take(a, idx, out, axis=None):
+    """np.take into out.  Mode "clip" because the indices are in range and the
+    default "raise" mode copies `out` first."""
+    return np.take(a, idx, axis=axis, out=out, mode="clip")
+
+
+class _PairWalk:
+    """One block's worth of every buffer of a pair pass over n points.
+
+    `blocks(v)` walks the pairs i < j of the (n, 3) points v in blocks of
+    max(1, _PAIR_BLOCK // (n - 1)) whole rows, in rank order, so a block
+    holds at most max(_PAIR_BLOCK, n - 1) pairs.  The step keeps its noise
+    and kernel terms in the other buffers.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows = max(1, _PAIR_BLOCK // (n - 1))
+        k = min(self.rows, n - 1)
+        cap = k * (n - 1) - k * (k - 1) // 2  # the first block is the largest
+        self.iu = np.empty(cap, dtype=np.intp)
+        self.ju = np.empty(cap, dtype=np.intp)
+        self.z, self.db = np.empty((2, cap, 3))
+        self.r2, self.r, self.alpha, self.coef, self.zdb = np.empty((5, cap))
+        self.mask = np.empty(cap, dtype=bool)
+        self.terms = np.empty((2, cap, 3))  # the pair term and a scratch
+        self._cols = np.arange(n)
+        self._indexed = None  # first row of the block the indices hold
+
+    def _index(self, i0: int) -> int:
+        """Write the indices of the block that starts at row i0, row by row
+        (a one-block walk writes them once); returns the block's size."""
+        n, stop = self.n, min(i0 + self.rows, self.n - 1)
+        k = stop - i0
+        if self._indexed != i0:
+            pos = 0
+            for i in range(i0, stop):
+                self.iu[pos:pos + n - 1 - i] = i
+                self.ju[pos:pos + n - 1 - i] = self._cols[i + 1:]
+                pos += n - 1 - i
+            self._indexed = i0
+        return k * (n - 1 - i0) - k * (k - 1) // 2
+
+    def blocks(self, v: np.ndarray):
+        """Yield (lo, iu, ju, z, r2) per block: lo is the rank of the block's
+        first pair, z = v[iu] - v[ju] and r2 = |z|^2.  The arrays are views
+        of the walk's buffers, valid until the next block."""
+        n = self.n
+        if v.shape[0] != n:
+            raise ValueError(f"a walk over {n} points got {v.shape[0]}")
+        for i0 in range(0, n - 1, self.rows):
+            m = self._index(i0)
+            iu, ju, z, r2 = self.iu[:m], self.ju[:m], self.z[:m], self.r2[:m]
+            _take(v, iu, z, axis=0)
+            z -= _take(v, ju, self.terms[1, :m], axis=0)
+            np.einsum("pc,pc->p", z, z, out=r2)
+            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, r2
+
+
+def _borrow(walk: _PairWalk | None, m: int, k: int):
+    """k <= 6 float rows and one bool row of length m for a pair consumer's
+    add(): the walk's term buffers and mask, which are idle while the
+    consumers of a block run, or fresh arrays for a consumer without a walk."""
+    if walk is None:
+        return np.empty((k, m)), np.empty(m, dtype=bool)
+    return walk.terms.reshape(6, -1)[:k, :m], walk.mask[:m]
+
+
 def _pair_blocks(v: np.ndarray):
-    """Yield (lo, iu, ju, z, r2) for the pairs i < j of the (n, 3) points v,
-    one block of whole rows at a time, in rank order: lo is the rank of the
-    block's first pair, z = v[iu] - v[ju] and r2 = |z|^2.  A block holds at
-    most max(_PAIR_BLOCK, n - 1) pairs."""
-    n = v.shape[0]
-    rows = max(1, _PAIR_BLOCK // (n - 1))
-    for i0 in range(0, n - 1, rows):
-        iu, ju = np.triu_indices(min(rows, n - 1 - i0), k=1, m=n - i0)
-        iu, ju = iu + i0, ju + i0
-        z = np.take(v, iu, axis=0) - np.take(v, ju, axis=0)
-        yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, np.einsum("pc,pc->p", z, z)
+    """A fresh walk's blocks over the (n, 3) points v."""
+    return _PairWalk(v.shape[0]).blocks(v)
 
 
-def _feed_pairs(v: np.ndarray, consumers) -> None:
+def _feed_pairs(v: np.ndarray, consumers, walk: _PairWalk | None = None) -> None:
     """One pair pass over v that only feeds the consumers' add(iu, ju, z, r2)."""
-    for _, iu, ju, z, r2 in _pair_blocks(v):
+    for _, iu, ju, z, r2 in (walk or _PairWalk(v.shape[0])).blocks(v):
         for c in consumers:
             c.add(iu, ju, z, r2)
 
@@ -222,16 +301,20 @@ def _rescale_energy(v: np.ndarray, e_target: float) -> np.ndarray:
 
 def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = None,
          noise: np.ndarray | None = None,
-         e_target: float | None = None, consumers=()) -> ParticleState:
+         e_target: float | None = None, consumers=(),
+         walk: _PairWalk | None = None) -> ParticleState:
     """One Euler-Maruyama step; `noise` overrides the keyed pair increments.
 
     Each of `consumers` gets add(iu, ju, z, r2) for every block of the pair
-    pass over the starting state, before the step checks its result.
+    pass over the starting state, before the step checks its result.  The
+    pass runs in `walk`'s buffers (a fresh walk when none is given).
     """
     if pot is None:
         pot = config.potential()
     v = state.v
     n = v.shape[0]
+    if walk is None:
+        walk = _PairWalk(n)
     if noise is None:
         stream = _stream(config.seed, _DOMAIN_PAIR, state.step_index)
         sqrt_dt = math.sqrt(config.dt)
@@ -242,24 +325,37 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
     # each side adds in rank order, as one bincount over all pairs would
     acc_i = np.zeros_like(v)
     acc_j = np.zeros_like(v)
-    for lo, iu, ju, z, r2 in _pair_blocks(v):
+    for lo, iu, ju, z, r2 in walk.blocks(v):
         for c in consumers:
             c.add(iu, ju, z, r2)
+        m = iu.size
         if noise is None:
-            db = sqrt_dt * stream.standard_normal((iu.size, 3))
+            db = walk.db[:m]
+            stream.standard_normal(out=db)
+            db *= sqrt_dt
         else:
-            db = noise[lo:lo + iu.size]
-        r = np.sqrt(r2)
-        alpha = alpha_reg(pot, r)
+            db = noise[lo:lo + m]
+        r, alpha, coef, zdb, far = (b[:m] for b in (walk.r, walk.alpha, walk.coef,
+                                                    walk.zdb, walk.mask))
+        term, other = walk.terms[:, :m]
+        np.sqrt(r2, out=r)
+        alpha_reg(pot, r, out=alpha)
         # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(r > 0.0, np.sqrt(alpha) / r, 0.0)
-        zdb = np.einsum("pc,pc->p", z, db)
-        pair_term = db * (w_noise * coef * r2)[:, None]
-        pair_term += z * (w_drift * alpha - w_noise * coef * zdb)[:, None]
+        np.greater(r, 0.0, out=far)
+        coef.fill(0.0)
+        np.divide(np.sqrt(alpha, out=zdb), r, out=coef, where=far)
+        coef *= w_noise
+        np.einsum("pc,pc->p", z, db, out=zdb)
+        # term = (w_noise coef r2) dB + (w_drift alpha - w_noise coef (z . dB)) z,
+        # with the rounding order that the seeded digests pin
+        np.multiply(db, np.multiply(coef, r2, out=r)[:, None], out=term)
+        coef *= zdb
+        alpha *= w_drift
+        alpha -= coef
+        term += np.multiply(z, alpha[:, None], out=other)
         for c in range(3):
-            np.add.at(acc_i[:, c], iu, pair_term[:, c])
-            np.add.at(acc_j[:, c], ju, pair_term[:, c])
+            np.add.at(acc_i[:, c], iu, term[:, c])
+            np.add.at(acc_j[:, c], ju, term[:, c])
     v_new = v + (acc_i - acc_j)
 
     if config.energy_mode == "rescale":
@@ -309,10 +405,11 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     """Integrate from an IID g0 draw to t_end, recording every stride-th step.
 
     Observers are callables state -> dict merged into the diagnostics row of
-    each recorded snapshot.  Pair observers are callables state -> consumer:
-    the consumer gets add(iu, ju, z, r2) for every block of a pair pass over
-    the recorded state (the next step's own pass; one pass of its own for the
-    final state) and its row() -> dict is then merged into the state's row.
+    each recorded snapshot.  Pair observers are callables (state, walk) ->
+    consumer: the consumer gets add(iu, ju, z, r2) for every block of a pair
+    pass over the recorded state (the next step's own pass; one pass of its
+    own for the final state), may borrow its temporaries from the run's
+    `walk`, and its row() -> dict is then merged into the state's row.
     On blowup the partial trajectory is attached to the raised BlowupError
     as `.trajectory` (with `.error` set); the state the failed step started
     from was fully passed, so its row is complete.
@@ -322,6 +419,7 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     pot = config.potential()
     e_target = math.fsum((state.v * state.v).ravel())
     traj = Trajectory(config=config)
+    walk = _PairWalk(config.n_particles)
 
     def record_state(s: ParticleState):
         """Append s and its row; returns the consumers that complete the row."""
@@ -331,7 +429,7 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
         for obs in observers:
             row.update(obs(s))
         traj.diagnostics.append(row)
-        return [make(s) for make in pair_observers]
+        return [make(s, walk) for make in pair_observers]
 
     def complete_row(consumers):
         for c in consumers:
@@ -341,7 +439,8 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     n_steps = config.n_steps
     try:
         for k in range(n_steps):
-            state = step(state, config, pot, e_target=e_target, consumers=consumers)
+            state = step(state, config, pot, e_target=e_target, consumers=consumers,
+                         walk=walk)
             complete_row(consumers)
             consumers = ()
             if state.step_index % config.snapshot_stride == 0 or k == n_steps - 1:
@@ -353,7 +452,7 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
         err.trajectory = traj
         raise
     if consumers:  # the final state: no step starts from it
-        _feed_pairs(state.v, consumers)
+        _feed_pairs(state.v, consumers, walk)
         complete_row(consumers)
     traj.runtime_s = time.perf_counter() - t0
     return traj

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _feed_pairs
+from .dynamics import _PairWalk, _borrow, _feed_pairs
 from .errors import ConfigError, DegenerateCloudError
 
 __all__ = ["EmpiricalMeasure", "moments", "PairStats", "pair_inverse_square", "knn_entropy"]
@@ -54,23 +54,27 @@ class PairStats:
     `row()` gives the mean of 1/r^2 over the pairs with r >= _PAIR_CUTOFF
     (NaN when no pair is that far apart), the smallest pair distance and the
     number of pairs closer than eta; `kept` and `excluded` count the pairs on
-    either side of the cutoff.
+    either side of the cutoff.  Its temporaries are borrowed from `walk`.
     """
 
-    def __init__(self, eta: float = 0.0):
+    def __init__(self, eta: float = 0.0, walk: _PairWalk | None = None):
+        self.walk = walk
         self.eta_sq = eta * eta
         self.total = 0.0
         self.kept = self.excluded = self.below_eta = 0
         self.min_r2 = math.inf
 
     def add(self, iu, ju, z, r2):
-        good = r2 >= _PAIR_CUTOFF**2
+        (inv,), mask = _borrow(self.walk, r2.size, 1)
+        good = np.greater_equal(r2, _PAIR_CUTOFF**2, out=mask)
         kept = int(np.count_nonzero(good))
         self.kept += kept
         self.excluded += r2.size - kept
-        self.total += float(np.sum(1.0 / r2[good]))
+        # only a cloud with near-coincident pairs pays for the compacted copy
+        inv = np.divide(1.0, r2 if kept == r2.size else r2[good], out=inv[:kept])
+        self.total += float(np.sum(inv))
         self.min_r2 = min(self.min_r2, float(np.min(r2)))
-        self.below_eta += int(np.count_nonzero(r2 < self.eta_sq))
+        self.below_eta += int(np.count_nonzero(np.less(r2, self.eta_sq, out=mask)))
 
     def row(self) -> dict:
         return {"pair_inv_sq": self.total / self.kept if self.kept else math.nan,
@@ -87,8 +91,9 @@ def pair_inverse_square(mu: EmpiricalMeasure, return_excluded: bool = False):
     """
     if mu.n < 2:
         raise DegenerateCloudError("need at least two points")
-    stats = PairStats()
-    _feed_pairs(mu.points, [stats])
+    walk = _PairWalk(mu.n)
+    stats = PairStats(walk=walk)
+    _feed_pairs(mu.points, [stats], walk)
     if stats.kept == 0:
         raise DegenerateCloudError("all pairs closer than the cutoff")
     value, excluded = stats.total / stats.kept, stats.excluded

@@ -117,15 +117,21 @@ class PotentialSpec:
                 f"regularization violates the ratio bound: margin {margin:.3e} > 0")
 
 
-def alpha_reg(spec: PotentialSpec, r):
-    """Regularized strength alpha_eta(r) = (eta * chi(r/eta))**gamma."""
+def alpha_reg(spec: PotentialSpec, r, out=None):
+    """Regularized strength alpha_eta(r) = (eta * chi(r/eta))**gamma.
+
+    With `out` (a float array of r's shape) the values are written into it
+    and it is returned; the pair step passes its block buffer.
+    """
     rr = np.atleast_1d(np.asarray(r, dtype=float))
+    if out is None:
+        out = np.empty_like(rr)
     if spec.gamma == 0.0:
-        out = np.ones_like(rr)
+        out.fill(1.0)
     else:
         # chi_eta(r) == r for r >= eta; the entries below eta (r = 0 too) are overwritten
         with np.errstate(divide="ignore", over="ignore"):
-            out = rr ** spec.gamma
+            np.power(rr, spec.gamma, out=out)
         near = rr < spec.eta
         if np.any(near):
             out[near] = chi_eta(spec.eta, rr[near]) ** spec.gamma

@@ -31,8 +31,7 @@ __all__ = ["save_trajectory", "load_trajectory", "load_config"]
 def _write_snapshot_csv(path: Path, state: ParticleState):
     with open(path, "w") as fh:
         fh.write(f"# step={state.step_index} t={float(state.t)!r} n={state.n}\n")
-        for row in state.v:
-            fh.write(f"{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
+        fh.write("".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in state.v.tolist()))
 
 
 def _read_snapshot_csv(path: Path) -> ParticleState:
@@ -107,6 +106,8 @@ def load_config(path) -> SimConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -119,13 +120,16 @@ def load_config(path) -> SimConfig:
 def load_trajectory(run_dir) -> Trajectory:
     """Rebuild a Trajectory (snapshots + diagnostics) from a saved run."""
     run = Path(run_dir)
-    with open(run / "manifest.json") as fh:
-        manifest = json.load(fh)
-    config = SimConfig.from_dict(manifest["config"])
-    _, reader = _snapshot_io(manifest["format"])
-    traj = Trajectory(config=config)
-    for name in manifest["snapshots"]:
-        traj.snapshots.append(reader(run / name))
+    try:
+        with open(run / "manifest.json") as fh:
+            manifest = json.load(fh)
+        config = SimConfig.from_dict(manifest["config"])
+        _, reader = _snapshot_io(manifest["format"])
+        traj = Trajectory(config=config)
+        for name in manifest["snapshots"]:
+            traj.snapshots.append(reader(run / name))
+    except OSError as exc:
+        raise ConfigError(f"cannot read saved run {run}: {exc}") from exc
     diag_path = run / "diagnostics.jsonl"
     if diag_path.exists():
         with open(diag_path) as fh:

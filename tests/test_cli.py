@@ -109,6 +109,31 @@ def test_simulate_unknown_config_key_exits_2(tmp_path, capsys):
     assert "n_partycles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("gamma", "x"), ("dt", "1e-3"), ("t_end", None), ("eta", "0.1"), ("eta_c", [1.0]),
+    ("eta_kappa", True), ("theta", "0.99"), ("seed", True), ("n_particles", 16.0),
+    ("snapshot_stride", False), ("snapshot_stride", "5")])
+def test_simulate_non_numeric_config_value_exits_2(tmp_path, capsys, key, value):
+    # a string, list, null or bool where a number belongs is bad input, not a crash
+    cfg = write_config(tmp_path / "c.json", **{key: value})
+    out = tmp_path / "r"
+    assert cli("simulate", "--config", cfg, "--out", out) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nowhere.json"
+    for argv in (["simulate", "--config", missing, "--out", tmp_path / "r"],
+                 ["sweep", "--config", missing, "--axis", "n_particles",
+                  "--values", "8", "--out", tmp_path / "s"],
+                 ["plotdata", "--run", tmp_path / "no_run"]):
+        assert cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
+
+
 def test_simulate_blowup_saves_partial_run_and_exits_1(tmp_path, monkeypatch, capsys):
     blowup_at(monkeypatch, 7)
     cfg = write_config(tmp_path / "c.json")  # records steps 0, 5, 10

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from landausim.densities import GaussianModel
+from landausim.diagnostics import BumpWeakIntegrand, GaussianBumpFn
 import landausim.dynamics as dynamics
 from landausim.dynamics import (NoiseKey, ParticleState, SimConfig,
                                 Trajectory, conserved_quantities, init_iid,
@@ -100,7 +101,9 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
         monkeypatch.setattr(dynamics, "_PAIR_BLOCK", block)
     cap = max(dynamics._PAIR_BLOCK, n - 1)
     v = np.random.default_rng(n).normal(size=(n, 3))
-    blocks = list(dynamics._pair_blocks(v))
+    # the yielded arrays are views of the walk's buffers, valid until the next block
+    blocks = [(lo, *(a.copy() for a in arrays))
+              for lo, *arrays in dynamics._pair_blocks(v)]
     iu, ju = np.triu_indices(n, k=1)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), iu)
     np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), ju)
@@ -146,6 +149,50 @@ def test_step_peak_allocation_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 20e6, peak
+
+
+@pytest.mark.parametrize("n", [256, 1024])  # one block; 16 blocks
+def test_run_allocates_no_block_after_its_first_step(n, monkeypatch):
+    # the run's walk holds every block temporary of the step and of its pair
+    # consumers, so later steps allocate only O(N) arrays
+    real_step = dynamics.step
+    walks = []
+
+    def step_after_the_first(state, *args, **kwargs):
+        walks.append(kwargs["walk"])
+        if len(walks) == 2:
+            tracemalloc.start()
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", step_after_the_first)
+    cfg = _cfg(n_particles=n, eta=0.2, t_end=0.004)
+    phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
+    try:
+        run(cfg, pair_observers=[
+            lambda s, walk: PairStats(cfg.eta_effective, walk),
+            lambda s, walk: BumpWeakIntegrand(phi, cfg.gamma, s.v, walk)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(walks) == 4 and all(w is walks[0] for w in walks)
+    block = sum(a.nbytes for a in vars(walks[0]).values() if isinstance(a, np.ndarray))
+    assert peak < 0.05 * block, (peak, block)
+
+
+@pytest.mark.parametrize("n,block", [(256, None), (400, None), (50, 60)])
+def test_reused_walk_gives_the_bits_of_fresh_walks(n, block, monkeypatch):
+    if block is not None:  # 50 points in blocks of one row
+        monkeypatch.setattr(dynamics, "_PAIR_BLOCK", block)
+    cfg = _cfg(n_particles=n, gamma=-3.0, eta=None, seed=4)
+    pot = cfg.potential()
+    walk = dynamics._PairWalk(n)
+    fresh = shared = init_iid(cfg)
+    for _ in range(4):
+        fresh = step(fresh, cfg, pot, consumers=[a := PairStats(0.3)])
+        shared = step(shared, cfg, pot, consumers=[b := PairStats(0.3, walk)], walk=walk)
+        np.testing.assert_array_equal(shared.v, fresh.v)
+        assert b.row() == a.row()
+        dynamics._feed_pairs(init_iid(cfg).v, [PairStats(0.3, walk)], walk)  # as run's final pass
 
 
 def test_noise_key_increment_indexes_the_shared_array():
@@ -354,7 +401,7 @@ def _check_pair_rows(traj, eta):
                                 dict(t_end=0.0)], ids=["stride1", "stride3", "t_end0"])
 def test_pair_observers_ride_the_step_pass(kw):
     cfg = _cfg(**{"n_particles": 40, "t_end": 0.01, "eta": 0.5, **kw})
-    traj = run(cfg, pair_observers=[lambda s: PairStats(cfg.eta_effective)])
+    traj = run(cfg, pair_observers=[lambda s, walk: PairStats(cfg.eta_effective, walk)])
     assert traj.snapshots[-1].step_index == cfg.n_steps  # final state: own pass
     assert sum(row["n_pairs_below_eta"] for row in traj.diagnostics) > 0
     _check_pair_rows(traj, cfg.eta_effective)
@@ -373,7 +420,7 @@ def test_pair_observers_survive_a_blowup(monkeypatch):
     monkeypatch.setattr(dynamics, "step", step_then_blow_up)
     cfg = _cfg(n_particles=40, snapshot_stride=3)
     with pytest.raises(BlowupError) as exc:
-        run(cfg, pair_observers=[lambda s: PairStats(cfg.eta_effective)])
+        run(cfg, pair_observers=[lambda s, walk: PairStats(cfg.eta_effective, walk)])
     traj = exc.value.trajectory
     assert [s.step_index for s in traj.snapshots] == [0, 3, 6]
     _check_pair_rows(traj, cfg.eta_effective)

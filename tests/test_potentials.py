@@ -141,6 +141,15 @@ def test_alpha_reg_scalar_array_consistency():
         assert alpha_reg(spec, float(ri)) == arr[i]
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, -3.0])
+def test_alpha_reg_writes_into_out(gamma):
+    spec = PotentialSpec(gamma=gamma, eta=0.3)
+    r = np.array([0.0, 0.01, 0.2, 0.31, 5.0])
+    out = np.full_like(r, np.nan)
+    assert alpha_reg(spec, r, out=out) is out
+    np.testing.assert_array_equal(out, alpha_reg(spec, r))
+
+
 @given(st.floats(min_value=1e-4, max_value=10.0))
 def test_alpha_reg_capped_by_bare(r):
     spec = PotentialSpec(gamma=-2.0, eta=0.2)
