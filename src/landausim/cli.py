@@ -31,11 +31,12 @@ from .densities import GaussianModel, TensorPower
 from .diagnostics import (BumpWeakIntegrand, GaussianBumpFn, bl_distance,
                           recorded_weak_residual)
 from .dynamics import SimConfig, run
-from .errors import BlowupError, ConfigError
+from .errors import BlowupError, ConfigError, CoverageError
 from .estimators import EmpiricalMeasure, PairStats, knn_entropy
 # J_functional is not called here; cli.J_functional is a name perfbench/tracer.py wraps
 from .functionals import (MCSpec, _check_beta, entropy, entropy_production_D,
-                          fisher_information, J_functional, k_family)  # noqa: F401
+                          fisher_information, grid_functionals, J_functional,
+                          k_family)  # noqa: F401
 from .potentials import PotentialSpec, default_eta
 from .reference import matched_maxwellian, maxwellian_entropy, resolve_preset
 from .runio import SNAPSHOT_FORMATS, load_config, load_trajectory, save_trajectory
@@ -88,6 +89,8 @@ def _parse_list(text: str, cast, flag: str) -> list:
 def _cmd_functionals(args) -> int:
     model = resolve_preset(args.preset)
     which = [w.strip().upper() for w in args.which.split(",") if w.strip()]
+    if not which:
+        raise ConfigError("--which is empty; choose from H,I,D,J,K")
     bad = [w for w in which if w not in ("H", "I", "D", "J", "K")]
     if bad:
         raise ConfigError(f"unknown functionals {bad}; choose from H,I,D,J,K")
@@ -111,10 +114,10 @@ def _cmd_functionals(args) -> int:
         rec.update(extra)
         print(json.dumps(rec, sort_keys=True))
 
-    if "H" in which:
-        emit("H", entropy(model))
-    if "I" in which:
-        emit("I", fisher_information(model))
+    grid = [w for w in ("H", "I") if w in which]
+    if grid:  # one grid pass serves the mass check, H and I
+        for name, est in grid_functionals(model, grid).items():
+            emit(name, est)
     if needs_pair:  # one sample batch serves D, J and K_beta
         fam = k_family(pair, betas, pot, mc)
         if "D" in which:
@@ -362,6 +365,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CoverageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -29,8 +29,12 @@ bit and D, J, K are exactly 0 (the difference form leaves ~1e-31).  Then
 
 All three are evaluated by Monte Carlo over samples of F with the pair
 singularity guarded (samples with |z| < 1e-12 are rejected and counted).
-Entropy and Fisher use tensor-grid trapezoid quadrature on 3D models and
-delegate exactly on tensor powers.
+The per-sample fields are formed over blocks of 65,536 consecutive samples,
+bit-identical to one whole-array batch (``k_family`` at 2^20 samples peaks
+at 144 MB under tracemalloc, 302 MB as one batch).  Entropy and Fisher use
+tensor-grid trapezoid quadrature on 3D models: one fine pass checks the
+mass and integrates H and I together, one half-resolution pass gives their
+error scale, and tensor powers delegate exactly to their base.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .potentials import PotentialSpec, alpha_bare, alpha_reg
 __all__ = [
     "MCSpec",
     "FunctionalEstimate",
+    "grid_functionals",
     "entropy",
     "fisher_information",
     "entropy_production_D",
@@ -61,6 +66,7 @@ __all__ = [
 
 _SINGULAR_CUTOFF = 1e-12
 _EPS_FLOOR = 1e-30
+_MC_BLOCK = 2**16  # sample rows per pair batch, as many as pairs in a step block
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,17 @@ class FunctionalEstimate:
     n_rejected: int = 0
 
 
-def _grid_functional(model: DensityModel, integrand, n_points: int, tail_mass: float):
+def grid_functionals(model: DensityModel, which=("H", "I"), n_points: int = 129,
+                     tail_mass: float = 1e-9) -> dict:
+    """{name: estimate} for H and/or I by trapezoid quadrature, from one fine
+    pass that also checks the mass and one half-resolution pass for the error;
+    tensor powers delegate exactly to their base."""
+    if isinstance(model, TensorPower):
+        return grid_functionals(model.base, which, n_points, tail_mass)
+    which = tuple(which)
+    bad = [w for w in which if w not in ("H", "I")]
+    if bad:
+        raise ConfigError(f"grid functionals are H and I, got {bad}")
     if model.dim > 3:
         raise CapabilityError(
             "grid quadrature supports dim <= 3; use a tensor power of a 3D model")
@@ -98,43 +114,40 @@ def _grid_functional(model: DensityModel, integrand, n_points: int, tail_mass: f
         n += 1  # odd point count so the half-resolution subgrid shares endpoints
     lo, hi = model.bounding_box(tail_mass)
 
-    mass = grid_integrate(model.density, lo, hi, n)
-    if abs(mass - 1.0) > 1e-6:
+    def rows(X):  # mass, then the integrands of `which`
+        logf = model.log_density(X)
+        f = np.exp(logf)
+        out = [f]
+        for name in which:
+            if name == "H":
+                out.append(np.where(f > 0.0, f * logf, 0.0))
+            else:
+                g = model.log_grad(X)
+                out.append(f * np.sum(g * g, axis=1))
+        return out
+
+    mass, *vals = grid_integrate(rows, lo, hi, n)
+    if not abs(mass - 1.0) <= 1e-6:  # a NaN mass fails too
         raise CoverageError(
             f"quadrature mass {mass:.8f} off from 1; widen the grid or add points")
-    val = grid_integrate(integrand, lo, hi, n)
-    val_coarse = grid_integrate(integrand, lo, hi, n // 2 + 1)
-    err = abs(val - val_coarse) + 2.0 * tail_mass * max(1.0, abs(val))
-    return val, err, n**model.dim
+    coarse = grid_integrate(rows, lo, hi, n // 2 + 1)[1:]
+    out = {}
+    for name, val, val_coarse in zip(which, vals, coarse):
+        err = abs(val - val_coarse) + 2.0 * tail_mass * max(1.0, abs(val))
+        out[name] = FunctionalEstimate(val, err, "grid", n**model.dim)
+    return out
 
 
 def entropy(model: DensityModel, n_points: int = 129,
             tail_mass: float = 1e-9) -> FunctionalEstimate:
     """H(F) = (1/n) int F log F by trapezoid quadrature (exact tensor delegation)."""
-    if isinstance(model, TensorPower):
-        return entropy(model.base, n_points, tail_mass)
-
-    def integrand(X):
-        logf = model.log_density(X)
-        f = np.exp(logf)
-        return np.where(f > 0.0, f * logf, 0.0)
-
-    val, err, n = _grid_functional(model, integrand, n_points, tail_mass)
-    return FunctionalEstimate(val, err, "grid", n)
+    return grid_functionals(model, ("H",), n_points, tail_mass)["H"]
 
 
 def fisher_information(model: DensityModel, n_points: int = 129,
                        tail_mass: float = 1e-9) -> FunctionalEstimate:
     """I(F) = (1/n) int |grad F|^2 / F = (1/n) int F |grad log F|^2."""
-    if isinstance(model, TensorPower):
-        return fisher_information(model.base, n_points, tail_mass)
-
-    def integrand(X):
-        g = model.log_grad(X)
-        return model.density(X) * np.sum(g * g, axis=1)
-
-    val, err, n = _grid_functional(model, integrand, n_points, tail_mass)
-    return FunctionalEstimate(val, err, "grid", n)
+    return grid_functionals(model, ("I",), n_points, tail_mass)["I"]
 
 
 def _mc_estimate(per_sample, n_rejected: int) -> FunctionalEstimate:
@@ -210,6 +223,19 @@ def _seeded_sample(model: DensityModel, mc: MCSpec):
     return model.sample(np.random.default_rng(mc.seed), mc.n_samples)
 
 
+def _pair_fields(model: DensityModel, pot, X, fields):
+    """Run fields(batch) -> tuple of per-sample arrays on a _PairBatch of each
+    block of _MC_BLOCK consecutive rows of X; returns the arrays concatenated
+    over the blocks (equal, bit for bit, to one batch over all of X) and the
+    summed n_rejected."""
+    parts, n_rejected = [], 0
+    for start in range(0, X.shape[0], _MC_BLOCK):
+        batch = _PairBatch(model, pot, X[start:start + _MC_BLOCK])
+        parts.append(fields(batch))
+        n_rejected += batch.n_rejected
+    return [np.concatenate(col) for col in zip(*parts)], n_rejected
+
+
 def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
@@ -222,22 +248,25 @@ def entropy_production_D(model: DensityModel, pot, mc: MCSpec) -> FunctionalEsti
     """
     if model.dim == 3:
         model = TensorPower(model, 2)
-    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
-    return _mc_estimate(batch.d_samples(), batch.n_rejected)
+    (d,), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
+                            lambda b: (b.d_samples(),))
+    return _mc_estimate(d, nr)
 
 
 def J_functional(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
     """J(F) = int F sum_k (alpha/|z|^2) (bt_k . grad log F)^4."""
-    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
-    return _mc_estimate(batch.j_samples(), batch.n_rejected)
+    (j,), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
+                            lambda b: (b.j_samples(),))
+    return _mc_estimate(j, nr)
 
 
 def dissipation_K(model: DensityModel, beta: float, pot,
                   mc: MCSpec) -> FunctionalEstimate:
     """K_beta(F) = int F sum_k w^4 (u2_k + beta u1_k^2)^2 for beta in [0, 1]."""
     _check_beta(beta)
-    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
-    return _mc_estimate(batch.k_samples(beta), batch.n_rejected)
+    (k,), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
+                            lambda b: (b.k_samples(beta),))
+    return _mc_estimate(k, nr)
 
 
 @dataclass
@@ -273,14 +302,15 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
         _check_beta(beta)
     if betas and 1.0 / 3.0 not in betas:  # the anchor of residual()
         betas.append(1.0 / 3.0)
-    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
-    samples = {beta: batch.k_samples(beta) for beta in betas}
-    samples["J"] = batch.j_samples()
-    nr = batch.n_rejected
+    arrays, nr = _pair_fields(
+        model, pot, _seeded_sample(model, mc),
+        lambda b: [b.k_samples(beta) for beta in betas] + [b.j_samples(), b.d_samples()])
+    *ks, j, d = arrays
+    samples = dict(zip(betas, ks), J=j)
     estimates = {beta: _mc_estimate(samples[beta], nr) for beta in betas}
-    return KFamilyResult(estimates=estimates, J=_mc_estimate(samples["J"], nr),
-                         D=_mc_estimate(batch.d_samples(), nr), n=batch.n,
-                         n_rejected=nr, _samples=samples)
+    return KFamilyResult(estimates=estimates, J=_mc_estimate(j, nr),
+                         D=_mc_estimate(d, nr), n=j.size, n_rejected=nr,
+                         _samples=samples)
 
 
 def ibp_identity_check(model: DensityModel, pot, mc: MCSpec, full: bool = False):
@@ -291,10 +321,10 @@ def ibp_identity_check(model: DensityModel, pot, mc: MCSpec, full: bool = False)
     mean, its standard error, and the sample counts.  The residual estimates
     0 for any radial weight because the fields bt_k are divergence-free.
     """
-    batch = _PairBatch(model, pot, _seeded_sample(model, mc))
-    lhs = batch.ibp_lhs_samples()
-    rhs = (2.0 / 3.0) * batch.j_samples()
-    resid = _mc_estimate(lhs - rhs, batch.n_rejected)
+    (lhs, j), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
+                                lambda b: (b.ibp_lhs_samples(), b.j_samples()))
+    rhs = (2.0 / 3.0) * j
+    resid = _mc_estimate(lhs - rhs, nr)
     rhs_mean = float(np.mean(rhs))
     normalized = abs(resid.value) / max(1.5 * rhs_mean, _EPS_FLOOR)
     if not full:
@@ -305,8 +335,8 @@ def ibp_identity_check(model: DensityModel, pot, mc: MCSpec, full: bool = False)
         "rhs": rhs_mean,
         "residual_mean": resid.value,
         "residual_se": resid.abs_error,
-        "n": batch.n,
-        "n_rejected": batch.n_rejected,
+        "n": lhs.size,
+        "n_rejected": nr,
     }
 
 
@@ -354,6 +384,6 @@ def tensor_consistency_D(rho: DensityModel, j: int, pot, mc: MCSpec):
         raise ValueError("tensor consistency needs j >= 2")
     model_j = TensorPower(rho, j)
     X = _seeded_sample(model_j, mc)
-    batches = (_PairBatch(model_j, pot, X),
-               _PairBatch(TensorPower(rho, 2), pot, X[:, 0:6]))
-    return tuple(_mc_estimate(b.d_samples(), b.n_rejected) for b in batches)
+    runs = (_pair_fields(model_j, pot, X, lambda b: (b.d_samples(),)),
+            _pair_fields(TensorPower(rho, 2), pot, X[:, 0:6], lambda b: (b.d_samples(),)))
+    return tuple(_mc_estimate(d, nr) for (d,), nr in runs)

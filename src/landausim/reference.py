@@ -105,6 +105,8 @@ def resolve_preset(spec: str):
         raise ConfigError(f"unknown preset {name!r}; names: {preset_names()}")
     try:
         args = [float(a) for a in argstr.split(",") if a.strip()]
+        if not all(map(math.isfinite, args)):
+            raise ConfigError("every argument must be finite")
         return _PRESETS[name](*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad preset arguments in {spec!r}: {exc}") from exc

@@ -220,6 +220,39 @@ def test_functionals_rejects_bad_preset(capsys):
     assert cli("functionals", "--preset", "maxwellian(-1)", "--which", "H") == 2
 
 
+@pytest.mark.parametrize("preset", ["maxwellian(nan)", "maxwellian(inf)",
+                                    "aniso_gauss(1,nan,1)", "bimodal(nan)",
+                                    "bimodal(-inf)"])
+@pytest.mark.parametrize("command", ["functionals", "simulate"])
+def test_non_finite_preset_arguments_exit_2(tmp_path, capsys, command, preset):
+    if command == "functionals":
+        argv = ["functionals", "--preset", preset]
+    else:
+        argv = ["simulate", "--config", write_config(tmp_path / "c.json", g0=preset),
+                "--out", tmp_path / "run"]
+    assert cli(*argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "finite" in out.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("which", [",", "", " , "])
+def test_functionals_rejects_empty_which(capsys, which):
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", which) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--which" in out.err
+
+
+@pytest.mark.parametrize("preset", ["maxwellian(1e-300)", "maxwellian(1e300)"])
+def test_functionals_nan_mass_is_a_coverage_failure(capsys, preset):
+    # the grid mass is NaN here; it must fail the mass check, not print NaN
+    with np.errstate(all="ignore"):
+        assert cli("functionals", "--preset", preset, "--which", "I") == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: quadrature mass nan")
+
+
 @pytest.mark.parametrize("samples", ["0", "-5", "1"])
 def test_functionals_rejects_bad_sample_count(capsys, samples):
     assert cli("functionals", "--preset", "maxwellian(1)", "--which", "D",

@@ -237,6 +237,35 @@ def test_grid_integrate_1d_chunks():
     assert whole == pytest.approx(np.trapezoid(np.exp(-x ** 2), x), rel=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [2**20, 50])
+def test_grid_integrate_k_rows_equal_one_row_calls(chunk):
+    # each row of a k-row integrand is summed slab by slab exactly as a
+    # one-row call sums it; 50 points is below one 13 x 9 slab
+    m = GaussianMixtureModel([0.3, 0.7], [[0.5, 0.0, 0.1], [-0.4, 0.2, 0.0]],
+                             [[1.0, 0.6, 0.9], [0.8, 1.2, 0.7]])
+    lo, hi = m.bounding_box(1e-8)
+    n_points = [11, 13, 9]
+    one_row = [m.density, lambda X: m.log_density(X) * m.density(X),
+               lambda X: np.sum(m.log_grad(X) ** 2, axis=1)]
+    expect = [grid_integrate(fn, lo, hi, n_points, chunk=chunk) for fn in one_row]
+    assert all(isinstance(v, float) for v in expect)
+    got = grid_integrate(lambda X: [fn(X) for fn in one_row], lo, hi, n_points,
+                         chunk=chunk)
+    assert got == expect
+    stacked = grid_integrate(lambda X: np.stack([fn(X) for fn in one_row]), lo, hi,
+                             n_points, chunk=chunk)
+    assert stacked == expect
+
+
+def test_check_mass_raises_on_nan_mass():
+    class NaNDensity(GaussianModel):
+        def log_density(self, X):
+            return np.full(np.atleast_2d(X).shape[0], np.nan)
+
+    with pytest.raises(CoverageError):
+        check_mass(NaNDensity(np.zeros(2), 1.0))
+
+
 def test_check_mass_raises_on_bad_box():
     class Half(GaussianModel):
         def bounding_box(self, tail_mass=1e-8):

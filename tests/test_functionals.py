@@ -1,21 +1,24 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from landausim.cli import main as cli_main
 from landausim.densities import (DensityModel, GaussianModel, ScaledModel,
-                                 ShiftedModel, TensorPower)
+                                 ShiftedModel, TensorPower, grid_integrate)
 from landausim.errors import CapabilityError, ConfigError
-from landausim.functionals import (MCSpec, J_functional, _PairBatch,
+from landausim import functionals
+from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch,
                                    beta_power_identity_probes, dissipation_K,
                                    entropy, entropy_production_D,
-                                   fisher_information, ibp_identity_check,
-                                   k_family, tensor_consistency_D)
+                                   fisher_information, grid_functionals,
+                                   ibp_identity_check, k_family,
+                                   tensor_consistency_D)
 from landausim.potentials import PotentialSpec, cross_kernels
 from landausim.reference import (bimodal, maxwellian, maxwellian_entropy,
-                                 maxwellian_fisher)
+                                 maxwellian_fisher, resolve_preset)
 
 from _oracles import ANISO_GM2, ANISO_GM3
 
@@ -66,6 +69,69 @@ def test_grid_functionals_reject_high_dim():
     six_dim = GaussianModel(np.zeros(6), 1.0)  # not a TensorPower
     with pytest.raises(CapabilityError):
         entropy(six_dim)
+
+
+# (H, abs_error of H, I, abs_error of I) from separate mass, H and I grid
+# passes with one OpenBLAS thread; the long np.dot sums of the quadrature
+# split differently across BLAS threads, which moves each entry by ~5e-14,
+# inside pytest.approx's rel=1e-12 / abs=1e-12
+_FROZEN_GRID = {
+    "maxwellian(1)": (-4.256815574419162, 1.064719647325199e-08,
+                      2.9999999553018784, 9.745477616367035e-09),
+    "aniso_gauss(2,0.5,0.5)": (-3.910241984496878, 9.921230212621083e-09,
+                               4.499999932952728, 1.4618166242469662e-08),
+    "bimodal(3)": (-4.783592884591767, 1.157759805027842e-08,
+                   2.5562043329956006, 8.534001896959002e-09),
+}
+
+
+def _separate_passes(model, name):
+    """H or I as one functional per grid pass computes it: a mass pass, then
+    fine and half-resolution passes over the one integrand."""
+    if name == "H":
+        def integrand(X):
+            logf = model.log_density(X)
+            f = np.exp(logf)
+            return np.where(f > 0.0, f * logf, 0.0)
+    else:
+        def integrand(X):
+            g = model.log_grad(X)
+            return model.density(X) * np.sum(g * g, axis=1)
+    lo, hi = model.bounding_box(1e-9)
+    assert abs(grid_integrate(model.density, lo, hi, 129) - 1.0) <= 1e-6
+    val = grid_integrate(integrand, lo, hi, 129)
+    err = abs(val - grid_integrate(integrand, lo, hi, 65)) + 2.0 * 1e-9 * max(1.0, abs(val))
+    return val, err
+
+
+@pytest.mark.parametrize("preset", sorted(_FROZEN_GRID))
+def test_grid_functionals_match_separate_passes(preset):
+    model = resolve_preset(preset)
+    h, i = grid_functionals(model).values()
+    got = (h.value, h.abs_error, i.value, i.abs_error)
+    assert got == _separate_passes(model, "H") + _separate_passes(model, "I")
+    assert got == pytest.approx(_FROZEN_GRID[preset], rel=1e-12)
+    assert h.n == i.n == 129**3
+    assert entropy(model) == h
+    assert fisher_information(model) == i
+
+
+def test_cli_makes_one_fine_and_one_coarse_grid_pass(monkeypatch, capsys):
+    seen = []
+    real = functionals.grid_integrate
+    monkeypatch.setattr(functionals, "grid_integrate",
+                        lambda fn, lo, hi, n, **kw: seen.append(n) or real(fn, lo, hi, n, **kw))
+    assert cli_main(["functionals", "--preset", "aniso_gauss(2,0.5,0.5)",
+                     "--which", "H,I"]) == 0
+    assert [r["functional"] for r in map(json.loads, capsys.readouterr().out.splitlines())] \
+        == ["H", "I"]
+    assert seen == [129, 65]
+
+
+def test_entropy_never_evaluates_the_log_gradient(monkeypatch):
+    model = bimodal(3.0)
+    monkeypatch.setattr(model, "log_grad", lambda X: pytest.fail("log_grad called"))
+    assert entropy(model).value == _separate_passes(bimodal(3.0), "H")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +444,63 @@ def test_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
     fam = k_family(model, [], pot_gm2, mc)  # no beta, no anchor, no u2
     assert fam.D == entropy_production_D(aniso_pair, pot_gm2, mc)
     assert fam.J == J_functional(aniso_pair, pot_gm2, mc)
+
+
+# ---------------------------------------------------------------------------
+# Pair fields in sample blocks against one whole-array batch
+
+_BLOCKED_N = 2 * _MC_BLOCK + 3  # the last block holds 3 samples
+
+
+def _pair_functional_results(model, pot, betas):
+    mc = MCSpec(_BLOCKED_N, 0)
+    fam = k_family(model, betas, pot, mc)
+    return {"D": entropy_production_D(model, pot, mc), "J": J_functional(model, pot, mc),
+            "K": [dissipation_K(model, b, pot, mc) for b in betas],
+            "family": (fam.estimates, fam.J, fam.D, fam.n, fam.n_rejected,
+                       fam.residual(0.0)),
+            "ibp": ibp_identity_check(model, pot, mc, full=True)}
+
+
+@pytest.mark.parametrize("preset", ["maxwellian(1)", "aniso_gauss(2,0.5,0.5)", "bimodal(3)"])
+def test_blocked_pair_fields_equal_one_whole_batch(monkeypatch, pot_gm2, preset):
+    model = TensorPower(resolve_preset(preset), 2)
+    X = model.sample(np.random.default_rng(8), _BLOCKED_N)
+    X[[5, -2], 3:6] = X[[5, -2], 0:3]  # coincident pairs in the first and last block
+    monkeypatch.setattr(functionals, "_seeded_sample", lambda model, mc: X)
+    betas = [0.0, 0.5, 1.0]
+    blocked = _pair_functional_results(model, pot_gm2, betas)
+    assert blocked["family"][3:5] == (_BLOCKED_N - 2, 2)
+    assert blocked["ibp"]["n"] == _BLOCKED_N - 2 and blocked["ibp"]["n_rejected"] == 2
+
+    whole = _PairBatch(model, pot_gm2, X)
+    fam = k_family(model, betas, pot_gm2, MCSpec(_BLOCKED_N, 0))
+    for beta in betas:
+        assert np.array_equal(fam._samples[beta], whole.k_samples(beta))
+    assert np.array_equal(fam._samples["J"], whole.j_samples())
+
+    monkeypatch.setattr(functionals, "_MC_BLOCK", _BLOCKED_N)  # one batch
+    assert _pair_functional_results(model, pot_gm2, betas) == blocked
+
+
+def test_k_family_memory_peak_is_bounded(aniso_pair, pot_gm2):
+    # whole-array fields of 2^18 samples peaked at 75.5 MB; blocks keep only
+    # the sample array, the per-sample results and one block of fields
+    tracemalloc.start()
+    try:
+        k_family(aniso_pair, [0.0, 1.0 / 3.0, 1.0], pot_gm2, MCSpec(2**18, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55e6, peak
+
+
+def test_blocked_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
+    model, mc = _GradientOnly(aniso_pair), MCSpec(_MC_BLOCK + 5, 2)
+    fam = k_family(model, [], pot_gm2, mc)
+    assert fam.n == _MC_BLOCK + 5
+    assert fam.D == entropy_production_D(model, pot_gm2, mc) \
+        == entropy_production_D(aniso_pair, pot_gm2, mc)
+    assert fam.J == J_functional(model, pot_gm2, mc) == J_functional(aniso_pair, pot_gm2, mc)
+    with pytest.raises(CapabilityError):
+        k_family(model, [1.0], pot_gm2, mc)
