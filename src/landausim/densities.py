@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +57,20 @@ class DensityModel:
         raise CapabilityError(f"{type(self).__name__} has no bounding_box")
 
 
-def _axis_halfwidth(tail_mass: float, dim: int) -> float:
-    from scipy.special import ndtri  # imported here: the simulator never needs scipy
+_SAMPLE_ROWS = 2**16  # rows per in-place block of GaussianModel.sample
 
-    # split the tail budget across axes and sides; ndtri gives the z-score
-    per_side = tail_mass / (2.0 * dim)
-    return float(-ndtri(per_side))
+
+def _axis_halfwidth(tail_mass: float, dim: int) -> float:
+    # imported here: only the grid quadrature needs it, and it costs every
+    # simulate and sweep 0.5 MB of RSS
+    from statistics import NormalDist
+
+    # split the tail budget across axes and sides; inv_cdf gives the z-score
+    # (within a few ulp of scipy.special.ndtri, without importing scipy)
+    if not 0.0 < tail_mass < 2.0 * dim:  # a NaN tail mass fails too
+        raise ValueError(f"tail_mass must lie in (0, {2 * dim}) for dim {dim}, "
+                         f"got {tail_mass!r}")
+    return -NormalDist().inv_cdf(tail_mass / (2.0 * dim))
 
 
 class GaussianModel(DensityModel):
@@ -100,7 +107,14 @@ class GaussianModel(DensityModel):
         return -np.einsum("ni,ni->n", U @ self.prec, U)
 
     def sample(self, rng, n):
-        return self.mean + rng.standard_normal((n, self.dim)) @ self._chol.T
+        # the Cholesky factor is applied in row blocks, in place: row-block
+        # products equal the whole-array product bit for bit
+        x = rng.standard_normal((n, self.dim))
+        for start in range(0, n, _SAMPLE_ROWS):
+            block = x[start:start + _SAMPLE_ROWS]
+            block[...] = block @ self._chol.T
+        x += self.mean
+        return x
 
     def bounding_box(self, tail_mass: float = 1e-8):
         z = _axis_halfwidth(tail_mass, self.dim)
@@ -199,7 +213,11 @@ class TensorPower(DensityModel):
         return out
 
     def sample(self, rng, n):
-        return np.concatenate([self.base.sample(rng, n) for _ in range(self.j)], axis=1)
+        out = np.empty((n, self.dim))
+        d = self.base.dim
+        for i in range(self.j):  # one factor at a time, in the order drawn
+            out[:, i * d:(i + 1) * d] = self.base.sample(rng, n)
+        return out
 
     def bounding_box(self, tail_mass: float = 1e-8):
         lo, hi = self.base.bounding_box(tail_mass / self.j)
@@ -261,15 +279,18 @@ class ShiftedModel(DensityModel):
         return lo + self.shift, hi + self.shift
 
 
-def grid_integrate(fn, lo, hi, n_points, chunk: int = 2**20):
+def grid_integrate(fn, lo, hi, n_points, chunk: int = 2**16):
     """Trapezoid rule for int fn over the box [lo, hi] on a tensor grid.
 
     fn maps (m, dim) points to (m,) values, or to a sequence (or (k, m)
     array) of k such rows, for which a list of k integrals is returned, each
-    accumulated exactly as a one-row call would.  Evaluation runs over whole
-    slabs of the leading axis, as many as fit in ``chunk`` points (at least
-    one), so the full point array never needs to be materialized at once for
-    fine grids.
+    accumulated exactly as a one-row call would.  Evaluation runs over
+    chunks of whole slabs of the leading axis, as many as fit in ``chunk``
+    points (at least one), so only one chunk of points and values is held
+    at a time.  Each slab's weighted values are summed by one numpy
+    reduction in a fixed order (no BLAS), and the slab sums are added in
+    slab order, so the result is the same, bit for bit, for every ``chunk``
+    and every BLAS thread count.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -290,13 +311,14 @@ def grid_integrate(fn, lo, hi, n_points, chunk: int = 2**20):
         lead = slice(start, start + rows)
         grids = np.meshgrid(axes[0][lead], *axes[1:], indexing="ij", copy=False)
         pts = np.stack(grids, axis=-1).reshape(-1, dim)
-        w = functools.reduce(np.multiply.outer, wts[1:], wts[0][lead]).ravel()
+        w = functools.reduce(np.multiply.outer, wts[1:], wts[0][lead]).reshape(-1, slab)
         vals = fn(pts)
         if acc is None:
             single = isinstance(vals, np.ndarray) and vals.ndim == 1
             acc = [0.0] * (1 if single else len(vals))
         for i, row in enumerate((vals,) if single else vals):
-            acc[i] += float(np.dot(w, row))
+            for s in np.add.reduce(w * row.reshape(w.shape), axis=1).tolist():
+                acc[i] += s
     return acc[0] if single else acc
 
 

@@ -212,22 +212,25 @@ class _PairWalk:
         self.r2, self.r, self.alpha, self.coef, self.zdb = np.empty((5, cap))
         self.mask = np.empty(cap, dtype=bool)
         self.terms = np.empty((2, cap, 3))  # the pair term and a scratch
-        self._cols = np.arange(n)
+        # row i's pairs as views: n - 1 - i copies of i, and the columns > i
+        cols = np.arange(n)
+        same = np.broadcast_to(cols[:, None], (n, n - 1))
+        self._row_i = [same[i, :n - 1 - i] for i in range(n - 1)]
+        self._row_j = [cols[i + 1:] for i in range(n - 1)]
         self._indexed = None  # first row of the block the indices hold
 
     def _index(self, i0: int) -> int:
-        """Write the indices of the block that starts at row i0, row by row
-        (a one-block walk writes them once); returns the block's size."""
+        """Write the indices of the block that starts at row i0 by joining
+        its rows' views (a one-block walk writes them once); returns the
+        block's size."""
         n, stop = self.n, min(i0 + self.rows, self.n - 1)
         k = stop - i0
+        m = k * (n - 1 - i0) - k * (k - 1) // 2
         if self._indexed != i0:
-            pos = 0
-            for i in range(i0, stop):
-                self.iu[pos:pos + n - 1 - i] = i
-                self.ju[pos:pos + n - 1 - i] = self._cols[i + 1:]
-                pos += n - 1 - i
+            np.concatenate(self._row_i[i0:stop], out=self.iu[:m])
+            np.concatenate(self._row_j[i0:stop], out=self.ju[:m])
             self._indexed = i0
-        return k * (n - 1 - i0) - k * (k - 1) // 2
+        return m
 
     def blocks(self, v: np.ndarray):
         """Yield (lo, iu, ju, z, r2) per block: lo is the rank of the block's

@@ -29,12 +29,13 @@ bit and D, J, K are exactly 0 (the difference form leaves ~1e-31).  Then
 
 All three are evaluated by Monte Carlo over samples of F with the pair
 singularity guarded (samples with |z| < 1e-12 are rejected and counted).
-The per-sample fields are formed over blocks of 65,536 consecutive samples,
-bit-identical to one whole-array batch (``k_family`` at 2^20 samples peaks
-at 144 MB under tracemalloc, 302 MB as one batch).  Entropy and Fisher use
-tensor-grid trapezoid quadrature on 3D models: one fine pass checks the
-mass and integrates H and I together, one half-resolution pass gives their
-error scale, and tensor powers delegate exactly to their base.
+The per-sample fields are formed over blocks of 16,384 consecutive samples
+and written into one preallocated array per result, bit-identical to one
+whole-array batch (``k_family`` at 2^20 samples peaks at 99 MB under
+tracemalloc, 302 MB as one batch).  Entropy and Fisher use tensor-grid
+trapezoid quadrature on 3D models: one fine pass checks the mass and
+integrates H and I together, one half-resolution pass gives their error
+scale, and tensor powers delegate exactly to their base.
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ __all__ = [
 
 _SINGULAR_CUTOFF = 1e-12
 _EPS_FLOOR = 1e-30
-_MC_BLOCK = 2**16  # sample rows per pair batch, as many as pairs in a step block
+# sample rows per pair batch: a block's fields are a few dozen (rows, 3) and
+# (rows,) float arrays, 0.4 and 0.13 MB each, small next to the per-sample
+# results; every field is computed row by row, so the size changes no bit
+_MC_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -225,15 +229,21 @@ def _seeded_sample(model: DensityModel, mc: MCSpec):
 
 def _pair_fields(model: DensityModel, pot, X, fields):
     """Run fields(batch) -> tuple of per-sample arrays on a _PairBatch of each
-    block of _MC_BLOCK consecutive rows of X; returns the arrays concatenated
-    over the blocks (equal, bit for bit, to one batch over all of X) and the
-    summed n_rejected."""
-    parts, n_rejected = [], 0
+    block of _MC_BLOCK consecutive rows of X; returns the arrays over all
+    blocks (equal, bit for bit, to one batch over all of X) and the summed
+    n_rejected.  Each block's values are written at the running kept offset
+    of one preallocated array per field."""
+    outs, kept, n_rejected = None, 0, 0
     for start in range(0, X.shape[0], _MC_BLOCK):
         batch = _PairBatch(model, pot, X[start:start + _MC_BLOCK])
-        parts.append(fields(batch))
+        cols = fields(batch)
+        if outs is None:
+            outs = [np.empty(X.shape[0], dtype=col.dtype) for col in cols]
+        for out, col in zip(outs, cols):
+            out[kept:kept + batch.n] = col
+        kept += batch.n
         n_rejected += batch.n_rejected
-    return [np.concatenate(col) for col in zip(*parts)], n_rejected
+    return [out[:kept] for out in outs], n_rejected
 
 
 def _check_beta(beta: float) -> None:

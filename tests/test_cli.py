@@ -458,7 +458,17 @@ def test_verify_all_checks_pass(capsys):
     assert "5/5 checks passed" in out
 
 
+def _run_child(script: str, **env_extra) -> subprocess.CompletedProcess:
+    src = str(Path(landausim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_extra)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+
+
 def test_simulate_and_sweep_never_import_scipy(tmp_path):
+    # scipy is loaded by the nearest-neighbor entropy of simulate --entropy
+    # alone; the functionals, grid H and I included, never need it
     cfg = write_config(tmp_path / "c.json", n_particles=8, t_end=0.002,
                        snapshot_stride=1)
     script = f"""
@@ -471,15 +481,66 @@ assert "scipy" not in sys.modules, "simulate"
 assert cli.main(["sweep", "--config", {str(cfg)!r}, "--axis", "n_particles",
                  "--values", "8", "--out", {str(tmp_path / "sweep")!r}]) == 0
 assert "scipy" not in sys.modules, "sweep"
-assert cli.main(["functionals", "--preset", "maxwellian(1)", "--which", "H"]) == 0
-assert "scipy" in sys.modules, "functionals H"
+assert cli.main(["functionals", "--preset", "maxwellian(1)", "--which", "H,I,D,J,K",
+                 "--gamma", "-2", "--samples", "1000"]) == 0
+assert "scipy" not in sys.modules, "functionals H,I,D,J,K"
+assert cli.main(["simulate", "--config", {str(cfg)!r},
+                 "--out", {str(tmp_path / "run_entropy")!r}, "--entropy"]) == 0
+assert "scipy" in sys.modules, "simulate --entropy"
 """
-    src = str(Path(landausim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+    proc = _run_child(script)
     assert proc.returncode == 0, proc.stderr
+
+
+_GRID_BITS = """
+import sys
+from landausim import cli
+from landausim.densities import grid_integrate
+from landausim.reference import resolve_preset
+assert cli.main(["functionals", "--preset", "bimodal(3)", "--which", "H,I"]) == 0
+m = resolve_preset("bimodal(3)")
+lo, hi = m.bounding_box(1e-9)
+
+def rows(X):
+    logf = m.log_density(X)
+    f = m.density(X)
+    return [f, f * logf, f * (m.log_grad(X) ** 2).sum(axis=1)]
+
+sums = [grid_integrate(rows, lo, hi, 65, chunk=c) for c in (50, 65 * 65, 2**20)]
+assert sums[0] == sums[1] == sums[2], sums
+print(repr(sums[0]))
+"""
+
+
+def _avx512_dispatch_targets():
+    """This numpy's AVX-512 dispatch targets that the CPU runs, if any."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [t for t in __cpu_dispatch__
+            if ("AVX512" in t or t == "X86_V4") and __cpu_features__.get(t)]
+
+
+@pytest.mark.parametrize("dispatch", ["default", "no-avx512"])
+def test_grid_outputs_are_the_same_bits_at_one_and_two_blas_threads(dispatch):
+    # H, I and their errors are slab sums in a fixed order, so the printed
+    # bytes and grid_integrate at any chunk do not depend on the BLAS thread
+    # count; with AVX-512 dispatch off numpy's exp and log give other bits,
+    # so that run is compared only with itself
+    env = {}
+    if dispatch == "no-avx512":
+        targets = _avx512_dispatch_targets()
+        if not targets:
+            pytest.skip("no AVX-512 dispatch to switch off on this CPU")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    out = []
+    for threads in ("1", "2"):
+        proc = _run_child(_GRID_BITS, OPENBLAS_NUM_THREADS=threads, **env)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+    assert [json.loads(line)["functional"] for line in out[0].splitlines()[:2]] == ["H", "I"]
 
 
 def test_module_entry_point_reports_version():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,32 @@ def test_gaussian_mass_certificate():
     check_mass(GaussianModel([5.0, 5.0, 5.0], [0.1, 1.0, 3.0]))
 
 
+def test_gaussian_sample_is_the_whole_array_formula():
+    # the in-place row-block form reproduces mean + Z @ L^T bit for bit,
+    # across block boundaries and for a full covariance
+    cov = np.array([[2.0, 0.3, -0.4], [0.3, 0.5, -0.1], [-0.4, -0.1, 1.0]])
+    m = GaussianModel([0.5, -1.0, 0.2], cov)
+    n = 2 * 2**16 + 5
+    z = np.random.default_rng(7).standard_normal((n, 3))
+    expect = m.mean + z @ np.linalg.cholesky(cov).T
+    assert np.array_equal(m.sample(np.random.default_rng(7), n), expect)
+
+
+@pytest.mark.parametrize("tail_mass", [0.0, -1e-9, 6.0, 7.5, float("nan")])
+def test_bounding_box_rejects_tail_mass_outside_its_range(tail_mass):
+    # a 3D box splits tail_mass over 6 half-axes: it must lie in (0, 6)
+    with pytest.raises(ValueError, match="tail_mass"):
+        GaussianModel(np.zeros(3), 1.0).bounding_box(tail_mass)
+
+
+def test_bounding_box_halfwidth_is_the_normal_quantile():
+    # 1e-9 over 6 half-axes: z = -Phi^{-1}(1e-9 / 6); the frozen value is
+    # scipy.special.ndtri's, which inv_cdf meets within a few ulp
+    lo, hi = GaussianModel(np.zeros(3), 4.0).bounding_box(1e-9)
+    assert np.all(hi == -lo)
+    assert hi[0] == pytest.approx(2.0 * 6.282424421620111, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Mixture
 
@@ -149,6 +176,27 @@ def test_tensor_power_blocks(rng):
         TensorPower(base, 0)
 
 
+def test_tensor_power_sample_peak_is_its_output_and_one_factor(aniso):
+    # joining the factors held both factors and the output (2.0x the
+    # output); filling the output in place holds it, one factor and one
+    # row block of the Cholesky product (1.68x)
+    tracemalloc.start()
+    try:
+        X = TensorPower(aniso, 2).sample(np.random.default_rng(1), 2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * X.nbytes, peak / X.nbytes
+
+
+def test_tensor_power_sample_is_the_factor_draws_side_by_side():
+    base = GaussianModel([0.5, -1.0, 0.2], [0.5, 1.0, 2.0])
+    rng = np.random.default_rng(3)
+    expect = np.concatenate([base.sample(rng, 1000) for _ in range(3)], axis=1)
+    assert np.array_equal(TensorPower(base, 3).sample(np.random.default_rng(3), 1000),
+                          expect)
+
+
 def test_scaled_model_is_a_density(rng):
     base = GaussianModel(np.zeros(3), 1.0)
     lam = 2.0
@@ -202,19 +250,18 @@ def test_grid_integrate_chunking_invariance():
     lo, hi = m.bounding_box(1e-8)
     a = grid_integrate(m.density, lo, hi, 41, chunk=2**20)
     b = grid_integrate(m.density, lo, hi, 41, chunk=97)
-    assert a == pytest.approx(b, rel=1e-12)
+    assert a == b
 
 
 def test_grid_integrate_chunking_invariance_3d():
     # slabs of the leading axis hold 13 * 9 points: a chunk below one slab
-    # and one spanning several both reproduce the one-chunk sum
+    # and one spanning several both reproduce the one-chunk sum bit for bit
     m = GaussianModel([0.2, -0.1, 0.3], [1.5, 0.7, 1.0])
     lo, hi = m.bounding_box(1e-8)
     n_points = [11, 13, 9]
     whole = grid_integrate(m.density, lo, hi, n_points)
-    for chunk in (50, 4 * 13 * 9 + 7):
-        assert grid_integrate(m.density, lo, hi, n_points, chunk=chunk) == \
-            pytest.approx(whole, rel=1e-12)
+    for chunk in (50, 4 * 13 * 9 + 7, 2**20):
+        assert grid_integrate(m.density, lo, hi, n_points, chunk=chunk) == whole
     axes = [np.linspace(lo[d], hi[d], n) for d, n in enumerate(n_points)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     wts = [np.full(n, ax[1] - ax[0]) for ax, n in zip(axes, n_points)]
@@ -231,8 +278,7 @@ def test_grid_integrate_1d_chunks():
 
     whole = grid_integrate(fn, [-2.0], [3.0], 101)
     for chunk in (1, 7, 100):
-        assert grid_integrate(fn, [-2.0], [3.0], 101, chunk=chunk) == \
-            pytest.approx(whole, rel=1e-12)
+        assert grid_integrate(fn, [-2.0], [3.0], 101, chunk=chunk) == whole
     x = np.linspace(-2.0, 3.0, 101)
     assert whole == pytest.approx(np.trapezoid(np.exp(-x ** 2), x), rel=1e-12)
 
