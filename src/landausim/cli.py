@@ -53,7 +53,7 @@ def _run_and_save(config: SimConfig, observers, out, fmt: str, pair_observers=()
     saved and returned, with the blowup recorded in its `error`.  Every row
     gets the PairStats columns of its state, from the step's own pair pass."""
     eta = config.eta_effective
-    pair_observers = [lambda state, walk: PairStats(eta, walk), *pair_observers]
+    pair_observers = [lambda state: PairStats(eta), *pair_observers]
     try:
         traj = run(config, observers=observers, pair_observers=pair_observers)
     except BlowupError as err:
@@ -139,7 +139,7 @@ def _run_cell(payload) -> dict:
     phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
     # the weak-form integrand of every recorded state rides the step's pair pass
     traj = _run_and_save(config, [], cell_dir, fmt, [
-        lambda state, walk: BumpWeakIntegrand(phi, config.gamma, state.v, walk)])
+        lambda state: BumpWeakIntegrand(phi, config.gamma, state.v)])
     row = {"axis": axis, "value": value, "seed": config.seed}
     if traj.error:
         row.update(status=f"blowup@{traj.error['step']}", runtime_s=float("nan"),

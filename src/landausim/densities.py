@@ -172,10 +172,16 @@ class GaussianMixtureModel(DensityModel):
         return quad - gbar_u**2
 
     def sample(self, rng, n):
+        # each component's draw goes straight into its rows of X, so the
+        # peak holds X, one draw, the permutation and the permuted copy
         counts = rng.multinomial(n, self.weights)
-        parts = [c.sample(rng, k) for c, k in zip(self.components, counts) if k > 0]
-        X = np.concatenate(parts, axis=0)
-        return X[rng.permutation(n)]
+        X = np.empty((n, self.dim))
+        start = 0
+        for c, k in zip(self.components, counts):
+            if k > 0:
+                X[start:start + k] = c.sample(rng, k)
+                start += k
+        return np.take(X, rng.permutation(n), axis=0)
 
     def bounding_box(self, tail_mass: float = 1e-8):
         boxes = [c.bounding_box(tail_mass) for c in self.components]

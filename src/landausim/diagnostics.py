@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensityModel, GaussianModel, grid_integrate
-from .dynamics import Trajectory, _PairWalk, _borrow, _pair_blocks, _take
+from .dynamics import Trajectory, _PairWalk, _take
 from .errors import ConfigError, StrideError
 from .estimators import EmpiricalMeasure
 from .potentials import alpha_bare
@@ -265,20 +265,15 @@ def default_dictionary() -> TestFunctionDictionary:
     return TestFunctionDictionary()
 
 
-def bl_distance(a, b, dictionary: TestFunctionDictionary | None = None,
-                return_bound: bool = False):
+def bl_distance(a, b, dictionary: TestFunctionDictionary | None = None) -> float:
     """d(a, b) = sum_n 2^{-n} |int phi_n da - int phi_n db|.
 
-    The series is truncated at the dictionary length; with
-    ``return_bound=True`` the tail bound 2 * 2^{-n_max} is returned alongside
-    the value.
+    The series is truncated at the dictionary length; the dictionary's
+    `truncation_bound` bounds the tail.
     """
     dic = dictionary or default_dictionary()
     ia, ib = dic.integrals(a), dic.integrals(b)
-    value = float(np.sum(dic.weights * np.abs(ia - ib)))
-    if return_bound:
-        return value, dic.truncation_bound
-    return value
+    return float(np.sum(dic.weights * np.abs(ia - ib)))
 
 
 def holder_seminorm(times, measures=None, exponent: float = 0.125,
@@ -328,14 +323,15 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
     if abs(times[0]) > 1e-12:
         raise StrideError("trajectory does not start at t=0")
 
+    n = traj.snapshots[0].n
+    walk = _PairWalk(n)
     vals = np.empty(idx + 1)
     for m in range(idx + 1):
         v = traj.snapshots[m].v
-        n = v.shape[0]
         g = phi.grad(v)
         h = phi.hess(v)
         term_b = term_a = 0.0
-        for _, iu, ju, z, r2 in _pair_blocks(v):
+        for _, iu, ju, z, r2, _ in walk.blocks(v):
             alpha = np.where(r2 > 0.0, alpha_bare(gamma, np.sqrt(r2)), 0.0)
             gd = np.take(g, iu, axis=0) - np.take(g, ju, axis=0)
             term_b -= 2.0 * np.sum(alpha * np.einsum("pc,pc->p", z, gd))
@@ -372,12 +368,11 @@ class BumpWeakIntegrand:
     |z x d_i|^2 = |z|^2 |d_i|^2 - u_i^2 with u_i = z . d_i, and u_j = u_i - |z|^2,
     so a pair adds alpha [phi_i (|z|^2 (|d_i|^2 - 2 s^2) + u_i (4 s^2 - u_i))
     + phi_j (|z|^2 (|d_j|^2 - 2 s^2) - u_j (4 s^2 + u_j))] / (N^2 s^4).
-    row() gives {"weak_integrand": value}.  The temporaries are borrowed
-    from `walk`.
+    row() gives {"weak_integrand": value}.  The temporaries live in each
+    block's spare.
     """
 
-    def __init__(self, phi: GaussianBumpFn, gamma: float, v, walk: _PairWalk | None = None):
-        self.walk = walk
+    def __init__(self, phi: GaussianBumpFn, gamma: float, v):
         s2 = phi.scale**2
         d = v - phi.center
         self.half_gamma = 0.5 * gamma
@@ -388,8 +383,8 @@ class BumpWeakIntegrand:
         self.norm = 1.0 / (v.shape[0] ** 2 * s2**2)
         self.total = 0.0
 
-    def add(self, iu, ju, z, r2):
-        (alpha, u, t, g, h), far = _borrow(self.walk, r2.size, 5)
+    def add(self, iu, ju, z, r2, spare):
+        (alpha, u, t, g, h, _), far = spare
         np.greater(r2, 0.0, out=far)
         alpha.fill(0.0)
         np.power(r2, self.half_gamma, out=alpha, where=far)  # |z|^gamma, 0 at z = 0

@@ -29,8 +29,8 @@ indices, z and |z|^2, the noise and the kernel terms.  `run` builds one
 before its first step and hands it to every step, so a run allocates no
 block-length array after it starts (freed and re-allocated blocks would be
 trimmed and faulted back in by the allocator on every block).  The arrays a
-walk yields are views of its buffers, valid until the next block; pair
-consumers borrow its idle term buffers for their own temporaries.
+walk yields are views of its buffers, valid until the next block; with each
+block it lends the pair consumers its idle term buffers as scratch.
 """
 
 from __future__ import annotations
@@ -198,7 +198,9 @@ class _PairWalk:
     `blocks(v)` walks the pairs i < j of the (n, 3) points v in blocks of
     max(1, _PAIR_BLOCK // (n - 1)) whole rows, in rank order, so a block
     holds at most max(_PAIR_BLOCK, n - 1) pairs.  The step keeps its noise
-    and kernel terms in the other buffers.
+    and kernel terms in the other buffers; the term buffers and the mask
+    are idle while a block's consumers run, and are lent to them as its
+    spare.
     """
 
     def __init__(self, n: int):
@@ -233,40 +235,30 @@ class _PairWalk:
         return m
 
     def blocks(self, v: np.ndarray):
-        """Yield (lo, iu, ju, z, r2) per block: lo is the rank of the block's
-        first pair, z = v[iu] - v[ju] and r2 = |z|^2.  The arrays are views
+        """Yield (lo, iu, ju, z, r2, spare) per block: lo is the rank of the
+        block's first pair, z = v[iu] - v[ju] and r2 = |z|^2; spare is
+        (six float rows, one bool row) of the block's length, scratch for
+        the block's consumers until the step resumes.  The arrays are views
         of the walk's buffers, valid until the next block."""
         n = self.n
         if v.shape[0] != n:
             raise ValueError(f"a walk over {n} points got {v.shape[0]}")
+        rows = self.terms.reshape(6, -1)
         for i0 in range(0, n - 1, self.rows):
             m = self._index(i0)
             iu, ju, z, r2 = self.iu[:m], self.ju[:m], self.z[:m], self.r2[:m]
             _take(v, iu, z, axis=0)
             z -= _take(v, ju, self.terms[1, :m], axis=0)
             np.einsum("pc,pc->p", z, z, out=r2)
-            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, r2
+            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, r2, (rows[:, :m], self.mask[:m])
 
 
-def _borrow(walk: _PairWalk | None, m: int, k: int):
-    """k <= 6 float rows and one bool row of length m for a pair consumer's
-    add(): the walk's term buffers and mask, which are idle while the
-    consumers of a block run, or fresh arrays for a consumer without a walk."""
-    if walk is None:
-        return np.empty((k, m)), np.empty(m, dtype=bool)
-    return walk.terms.reshape(6, -1)[:k, :m], walk.mask[:m]
-
-
-def _pair_blocks(v: np.ndarray):
-    """A fresh walk's blocks over the (n, 3) points v."""
-    return _PairWalk(v.shape[0]).blocks(v)
-
-
-def _feed_pairs(v: np.ndarray, consumers, walk: _PairWalk | None = None) -> None:
-    """One pair pass over v that only feeds the consumers' add(iu, ju, z, r2)."""
-    for _, iu, ju, z, r2 in (walk or _PairWalk(v.shape[0])).blocks(v):
+def _feed_pairs(v: np.ndarray, consumers, walk: _PairWalk) -> None:
+    """One pair pass over v in walk's buffers that only feeds the consumers'
+    add(iu, ju, z, r2, spare)."""
+    for _, iu, ju, z, r2, spare in walk.blocks(v):
         for c in consumers:
-            c.add(iu, ju, z, r2)
+            c.add(iu, ju, z, r2, spare)
 
 
 def pair_noise(seed: int, step_index: int, n: int, dt: float) -> np.ndarray:
@@ -308,9 +300,10 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
          walk: _PairWalk | None = None) -> ParticleState:
     """One Euler-Maruyama step; `noise` overrides the keyed pair increments.
 
-    Each of `consumers` gets add(iu, ju, z, r2) for every block of the pair
-    pass over the starting state, before the step checks its result.  The
-    pass runs in `walk`'s buffers (a fresh walk when none is given).
+    Each of `consumers` gets add(iu, ju, z, r2, spare) for every block of
+    the pair pass over the starting state, before the step checks its
+    result (see `_PairWalk.blocks`).  The pass runs in `walk`'s buffers (a
+    fresh walk when none is given).
     """
     if pot is None:
         pot = config.potential()
@@ -328,9 +321,9 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
     # each side adds in rank order, as one bincount over all pairs would
     acc_i = np.zeros_like(v)
     acc_j = np.zeros_like(v)
-    for lo, iu, ju, z, r2 in walk.blocks(v):
+    for lo, iu, ju, z, r2, spare in walk.blocks(v):
         for c in consumers:
-            c.add(iu, ju, z, r2)
+            c.add(iu, ju, z, r2, spare)
         m = iu.size
         if noise is None:
             db = walk.db[:m]
@@ -408,11 +401,11 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     """Integrate from an IID g0 draw to t_end, recording every stride-th step.
 
     Observers are callables state -> dict merged into the diagnostics row of
-    each recorded snapshot.  Pair observers are callables (state, walk) ->
-    consumer: the consumer gets add(iu, ju, z, r2) for every block of a pair
+    each recorded snapshot.  Pair observers are callables state -> consumer:
+    the consumer gets add(iu, ju, z, r2, spare) for every block of a pair
     pass over the recorded state (the next step's own pass; one pass of its
-    own for the final state), may borrow its temporaries from the run's
-    `walk`, and its row() -> dict is then merged into the state's row.
+    own for the final state), may use or ignore the block's `spare` scratch
+    rows, and its row() -> dict is then merged into the state's row.
     On blowup the partial trajectory is attached to the raised BlowupError
     as `.trajectory` (with `.error` set); the state the failed step started
     from was fully passed, so its row is complete.
@@ -432,7 +425,7 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
         for obs in observers:
             row.update(obs(s))
         traj.diagnostics.append(row)
-        return [make(s, walk) for make in pair_observers]
+        return [make(s) for make in pair_observers]
 
     def complete_row(consumers):
         for c in consumers:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _PairWalk, _borrow, _feed_pairs
+from .dynamics import _PairWalk, _feed_pairs
 from .errors import ConfigError, DegenerateCloudError
 
 __all__ = ["EmpiricalMeasure", "moments", "PairStats", "pair_inverse_square", "knn_entropy"]
@@ -54,18 +54,17 @@ class PairStats:
     `row()` gives the mean of 1/r^2 over the pairs with r >= _PAIR_CUTOFF
     (NaN when no pair is that far apart), the smallest pair distance and the
     number of pairs closer than eta; `kept` and `excluded` count the pairs on
-    either side of the cutoff.  Its temporaries are borrowed from `walk`.
+    either side of the cutoff.  Its temporaries live in each block's spare.
     """
 
-    def __init__(self, eta: float = 0.0, walk: _PairWalk | None = None):
-        self.walk = walk
+    def __init__(self, eta: float = 0.0):
         self.eta_sq = eta * eta
         self.total = 0.0
         self.kept = self.excluded = self.below_eta = 0
         self.min_r2 = math.inf
 
-    def add(self, iu, ju, z, r2):
-        (inv,), mask = _borrow(self.walk, r2.size, 1)
+    def add(self, iu, ju, z, r2, spare):
+        (inv, *_), mask = spare
         good = np.greater_equal(r2, _PAIR_CUTOFF**2, out=mask)
         kept = int(np.count_nonzero(good))
         self.kept += kept
@@ -82,24 +81,20 @@ class PairStats:
                 "n_pairs_below_eta": self.below_eta}
 
 
-def pair_inverse_square(mu: EmpiricalMeasure, return_excluded: bool = False):
+def pair_inverse_square(mu: EmpiricalMeasure) -> float:
     """Pair statistic (2/(N(N-1))) sum_{i<j} |V_i - V_j|^{-2}.
 
-    Pairs closer than 1e-14 are excluded from the average and counted; if
-    every pair is degenerate a DegenerateCloudError is raised.  The value is
-    that of PairStats, here fed by a pass of its own.
+    Pairs closer than 1e-14 are excluded from the average (PairStats counts
+    them); if every pair is degenerate a DegenerateCloudError is raised.
+    The value is that of PairStats, here fed by a pass of its own.
     """
     if mu.n < 2:
         raise DegenerateCloudError("need at least two points")
-    walk = _PairWalk(mu.n)
-    stats = PairStats(walk=walk)
-    _feed_pairs(mu.points, [stats], walk)
+    stats = PairStats()
+    _feed_pairs(mu.points, [stats], _PairWalk(mu.n))
     if stats.kept == 0:
         raise DegenerateCloudError("all pairs closer than the cutoff")
-    value, excluded = stats.total / stats.kept, stats.excluded
-    if return_excluded:
-        return value, excluded
-    return value
+    return stats.total / stats.kept
 
 
 def knn_entropy(points, k: int = 4) -> float:

@@ -323,24 +323,21 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
                          _samples=samples)
 
 
-def ibp_identity_check(model: DensityModel, pot, mc: MCSpec, full: bool = False):
+def ibp_identity_check(model: DensityModel, pot, mc: MCSpec) -> dict:
     """Integration-by-parts identity int (ddF)(dF)^2/F^2 = (2/3) J.
 
-    Returns |lhs - (2/3) J| / max(J, 1e-30) on shared samples; with
-    ``full=True`` returns a dict with the two sides, the per-sample residual
-    mean, its standard error, and the sample counts.  The residual estimates
-    0 for any radial weight because the fields bt_k are divergence-free.
+    Returns a dict with "residual" = |lhs - (2/3) J| / max(J, 1e-30) on
+    shared samples, the two sides, the per-sample residual mean, its
+    standard error, and the sample counts.  The residual estimates 0 for
+    any radial weight because the fields bt_k are divergence-free.
     """
     (lhs, j), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
                                 lambda b: (b.ibp_lhs_samples(), b.j_samples()))
     rhs = (2.0 / 3.0) * j
     resid = _mc_estimate(lhs - rhs, nr)
     rhs_mean = float(np.mean(rhs))
-    normalized = abs(resid.value) / max(1.5 * rhs_mean, _EPS_FLOOR)
-    if not full:
-        return normalized
     return {
-        "residual": normalized,
+        "residual": abs(resid.value) / max(1.5 * rhs_mean, _EPS_FLOOR),
         "lhs": float(np.mean(lhs)),
         "rhs": rhs_mean,
         "residual_mean": resid.value,

@@ -170,7 +170,7 @@ def test_pair_observer_nan_only_for_degenerate_cloud(tmp_path, monkeypatch, caps
     assert first["pair_inv_sq"] == 0.5
     assert first["min_pair_dist"] == math.sqrt(2.0) and first["n_pairs_below_eta"] == 0
 
-    def broken(self, iu, ju, z, r2):
+    def broken(self, iu, ju, z, r2, spare):
         raise ValueError("not a degenerate cloud")
 
     monkeypatch.setattr(PairStats, "add", broken)

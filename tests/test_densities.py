@@ -9,6 +9,7 @@ from landausim.densities import (DensityModel, GaussianMixtureModel,
                                  TensorPower, check_log_grad_fd, check_mass,
                                  grid_integrate)
 from landausim.errors import CapabilityError, CoverageError
+from landausim.reference import bimodal
 
 
 def _probe_points(model, rng, n=200):
@@ -187,6 +188,33 @@ def test_tensor_power_sample_peak_is_its_output_and_one_factor(aniso):
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * X.nbytes, peak / X.nbytes
+
+
+@pytest.mark.parametrize("j, bound", [(1, 2.5), (2, 2.4)])
+def test_mixture_sample_peak_is_its_output_one_draw_and_the_permutation(j, bound):
+    # joining the component draws and fancy-indexing the join held 3.33x the
+    # output for bimodal(3) (2.67x for its tensor square); writing the draws
+    # into one array and taking its rows holds 2.33x (2.17x)
+    model = bimodal(3.0) if j == 1 else TensorPower(bimodal(3.0), j)
+    tracemalloc.start()
+    try:
+        X = model.sample(np.random.default_rng(1), 2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * X.nbytes, peak / X.nbytes
+
+
+def test_mixture_sample_is_the_shuffled_join_of_its_component_draws():
+    model = GaussianMixtureModel([0.2, 0.0, 0.5, 0.3], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                       [-1.0, 0.5, 0.0], [0.0, 0.0, 2.0]],
+                                 [1.0, 1.0, 0.25, [0.5, 1.0, 2.0]])
+    rng = np.random.default_rng(4)
+    counts = rng.multinomial(1001, model.weights)
+    joined = np.concatenate([c.sample(rng, k) for c, k in zip(model.components, counts)
+                             if k > 0])
+    expect = joined[rng.permutation(1001)]
+    assert np.array_equal(model.sample(np.random.default_rng(4), 1001), expect)
 
 
 def test_tensor_power_sample_is_the_factor_draws_side_by_side():

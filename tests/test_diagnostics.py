@@ -14,7 +14,7 @@ from landausim.diagnostics import (AffineFn, BumpWeakIntegrand, ConstantFn,
                                    is_delta_nonaligned, iota,
                                    recorded_weak_residual, weak_form_residual)
 from landausim.densities import GaussianMixtureModel, GaussianModel, grid_integrate
-from landausim.dynamics import ParticleState, SimConfig, Trajectory, _feed_pairs, run
+from landausim.dynamics import ParticleState, SimConfig, Trajectory, _PairWalk, _feed_pairs, run
 from landausim.errors import ConfigError, StrideError
 from landausim.estimators import EmpiricalMeasure
 from landausim.reference import matched_maxwellian, maxwellian
@@ -155,7 +155,7 @@ def test_bl_distance_axioms(rng):
     assert bl_distance(b, a) == dab
     assert dab <= bl_distance(a, c) + bl_distance(c, b) + 1e-15
     assert dab < 1.0  # series bound: sum 2^-n sup|phi_n| < 1
-    val, bound = bl_distance(a, b, return_bound=True)
+    val, bound = bl_distance(a, b), default_dictionary().truncation_bound
     assert val == dab and bound == 2.0 ** -63
 
 
@@ -206,6 +206,20 @@ def residual_traj():
     cfg = SimConfig(n_particles=48, gamma=-2.0, dt=1e-3, t_end=0.1, seed=6,
                     eta=0.2, energy_mode="rescale", snapshot_stride=10)
     return run(cfg)
+
+
+def test_weak_residual_walks_every_snapshot_with_one_walk(residual_traj, monkeypatch):
+    built = []
+    real_init = _PairWalk.__init__
+
+    def counted_init(self, n):
+        built.append(n)
+        real_init(self, n)
+
+    monkeypatch.setattr(_PairWalk, "__init__", counted_init)
+    phi = GaussianBumpFn([0.3, 0.0, -0.2], 0.8, 0.5)
+    weak_form_residual(residual_traj, phi, residual_traj.times[-1])
+    assert len(residual_traj.snapshots) == 11 and built == [48]
 
 
 def test_weak_residual_constant_is_exactly_zero(residual_traj):
@@ -293,7 +307,7 @@ def test_bump_integrand_matches_weak_form_residual(residual_traj, coincident):
     rows = []
     for s in snaps:
         consumer = BumpWeakIntegrand(phi, gamma, s.v)
-        _feed_pairs(s.v, [consumer])
+        _feed_pairs(s.v, [consumer], _PairWalk(s.n))
         rows.append(consumer.row())
     traj = Trajectory(config=residual_traj.config, snapshots=snaps, diagnostics=rows)
     want = weak_form_residual(traj, phi, traj.times[-1])

@@ -103,7 +103,7 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
     v = np.random.default_rng(n).normal(size=(n, 3))
     # the yielded arrays are views of the walk's buffers, valid until the next block
     blocks = [(lo, *(a.copy() for a in arrays))
-              for lo, *arrays in dynamics._pair_blocks(v)]
+              for lo, *arrays, _ in dynamics._PairWalk(n).blocks(v)]
     iu, ju = np.triu_indices(n, k=1)
     np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), iu)
     np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), ju)
@@ -169,8 +169,8 @@ def test_run_allocates_no_block_after_its_first_step(n, monkeypatch):
     phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
     try:
         run(cfg, pair_observers=[
-            lambda s, walk: PairStats(cfg.eta_effective, walk),
-            lambda s, walk: BumpWeakIntegrand(phi, cfg.gamma, s.v, walk)])
+            lambda s: PairStats(cfg.eta_effective),
+            lambda s: BumpWeakIntegrand(phi, cfg.gamma, s.v)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -189,10 +189,10 @@ def test_reused_walk_gives_the_bits_of_fresh_walks(n, block, monkeypatch):
     fresh = shared = init_iid(cfg)
     for _ in range(4):
         fresh = step(fresh, cfg, pot, consumers=[a := PairStats(0.3)])
-        shared = step(shared, cfg, pot, consumers=[b := PairStats(0.3, walk)], walk=walk)
+        shared = step(shared, cfg, pot, consumers=[b := PairStats(0.3)], walk=walk)
         np.testing.assert_array_equal(shared.v, fresh.v)
         assert b.row() == a.row()
-        dynamics._feed_pairs(init_iid(cfg).v, [PairStats(0.3, walk)], walk)  # as run's final pass
+        dynamics._feed_pairs(init_iid(cfg).v, [PairStats(0.3)], walk)  # as run's final pass
 
 
 def test_noise_key_increment_indexes_the_shared_array():
@@ -401,10 +401,32 @@ def _check_pair_rows(traj, eta):
                                 dict(t_end=0.0)], ids=["stride1", "stride3", "t_end0"])
 def test_pair_observers_ride_the_step_pass(kw):
     cfg = _cfg(**{"n_particles": 40, "t_end": 0.01, "eta": 0.5, **kw})
-    traj = run(cfg, pair_observers=[lambda s, walk: PairStats(cfg.eta_effective, walk)])
+    traj = run(cfg, pair_observers=[lambda s: PairStats(cfg.eta_effective)])
     assert traj.snapshots[-1].step_index == cfg.n_steps  # final state: own pass
     assert sum(row["n_pairs_below_eta"] for row in traj.diagnostics) > 0
     _check_pair_rows(traj, cfg.eta_effective)
+
+
+class _PairCounter:
+    """A pair consumer that leaves each block's spare unused."""
+
+    def __init__(self):
+        self.pairs = 0
+
+    def add(self, iu, ju, z, r2, spare):
+        assert spare[0].shape == (6, r2.size)
+        self.pairs += r2.size
+
+    def row(self):
+        return {"pairs_seen": self.pairs}
+
+
+@pytest.mark.parametrize("n", [40, 400])  # one row block; two
+def test_pair_observer_is_built_from_the_state_alone(n):
+    cfg = _cfg(n_particles=n, t_end=0.005, snapshot_stride=2)
+    traj = run(cfg, pair_observers=[lambda s: _PairCounter()])
+    assert len(traj.diagnostics) == 4  # steps 0, 2, 4 and the final 5
+    assert [row["pairs_seen"] for row in traj.diagnostics] == [n * (n - 1) // 2] * 4
 
 
 def test_pair_observers_survive_a_blowup(monkeypatch):
@@ -420,7 +442,7 @@ def test_pair_observers_survive_a_blowup(monkeypatch):
     monkeypatch.setattr(dynamics, "step", step_then_blow_up)
     cfg = _cfg(n_particles=40, snapshot_stride=3)
     with pytest.raises(BlowupError) as exc:
-        run(cfg, pair_observers=[lambda s, walk: PairStats(cfg.eta_effective, walk)])
+        run(cfg, pair_observers=[lambda s: PairStats(cfg.eta_effective)])
     traj = exc.value.trajectory
     assert [s.step_index for s in traj.snapshots] == [0, 3, 6]
     _check_pair_rows(traj, cfg.eta_effective)

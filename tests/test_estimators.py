@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from landausim import dynamics
 from landausim.errors import ConfigError, DegenerateCloudError
-from landausim.estimators import (EmpiricalMeasure, knn_entropy, moments,
+from landausim.estimators import (EmpiricalMeasure, PairStats, knn_entropy, moments,
                                   pair_inverse_square)
 from landausim.reference import maxwellian_entropy
 
@@ -61,17 +62,24 @@ def test_pair_statistic_matches_pdist(rng):
         expect, rel=1e-12)
 
 
+def _value_and_excluded(v):
+    """pair_inverse_square of the cloud v and PairStats' count of the pairs
+    it leaves out."""
+    stats = PairStats()
+    dynamics._feed_pairs(v, [stats], dynamics._PairWalk(v.shape[0]))
+    return pair_inverse_square(EmpiricalMeasure(v)), stats.excluded
+
+
 def test_pair_statistic_chunking_invariance(rng, monkeypatch):
     # the blocked accumulation must not depend on the block size
     v = rng.normal(size=(700, 3))
-    import landausim.dynamics as dynamics
     import landausim.estimators as est
     monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 10**6)
-    assert len(list(dynamics._pair_blocks(v))) == 1
-    one = pair_inverse_square(EmpiricalMeasure(v), return_excluded=True)
+    assert len(list(dynamics._PairWalk(700).blocks(v))) == 1
+    one = _value_and_excluded(v)
     monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 1000)
-    assert len(list(dynamics._pair_blocks(v))) > 100
-    many = pair_inverse_square(EmpiricalMeasure(v), return_excluded=True)
+    assert len(list(dynamics._PairWalk(700).blocks(v))) > 100
+    many = _value_and_excluded(v)
     assert one[1] == many[1] == 0
     assert many[0] == pytest.approx(one[0], rel=1e-12)
     d2 = pdist(v, "sqeuclidean")
@@ -103,7 +111,7 @@ def test_pair_statistic_degenerate_clouds():
 def test_pair_statistic_excludes_coincident_pairs():
     mu = EmpiricalMeasure([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                            [1.0, 0.0, 0.0]])
-    value, excluded = pair_inverse_square(mu, return_excluded=True)
+    value, excluded = _value_and_excluded(mu.points)
     assert excluded == 1
     assert value == 1.0  # the two surviving pairs both have distance 1
 
