@@ -27,7 +27,7 @@ from .densities import DensityModel, GaussianModel, grid_integrate
 from .dynamics import Trajectory, _PairWalk, _take
 from .errors import ConfigError, StrideError
 from .estimators import EmpiricalMeasure
-from .potentials import alpha_bare
+from .potentials import _power
 from .smoothstep import smoothstep, smoothstep_d1, smoothstep_d2
 
 __all__ = [
@@ -304,6 +304,15 @@ def holder_seminorm(times, measures=None, exponent: float = 0.125,
 # ---------------------------------------------------------------------------
 # weak-form residual
 
+_HESS_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _dot(x, y) -> float:
+    """sum(x * y) as one pairwise sum, written into y (no BLAS: the same bits
+    at any thread count)."""
+    return float(np.add.reduce(np.multiply(x, y, out=y)))
+
+
 def weak_form_residual(traj: Trajectory, phi, t: float,
                        gamma: float | None = None) -> float:
     """Residual of the time-integrated weak form against phi at time t.
@@ -328,17 +337,38 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
     vals = np.empty(idx + 1)
     for m in range(idx + 1):
         v = traj.snapshots[m].v
-        g = phi.grad(v)
+        g = phi.grad(v).T.copy()  # one row per coordinate, for one-dimensional gathers
         h = phi.hess(v)
+        # one row per unique entry: H_cc, and H_cd + H_dc for c < d
+        hu = np.stack([h[:, c, d] + h[:, d, c] if c != d else h[:, c, c]
+                       for c, d in _HESS_ENTRIES])
         term_b = term_a = 0.0
-        for _, iu, ju, z, r2, _ in walk.blocks(v):
-            alpha = np.where(r2 > 0.0, alpha_bare(gamma, np.sqrt(r2)), 0.0)
-            gd = np.take(g, iu, axis=0) - np.take(g, ju, axis=0)
-            term_b -= 2.0 * np.sum(alpha * np.einsum("pc,pc->p", z, gd))
-            hs = np.take(h, iu, axis=0)
-            hs += np.take(h, ju, axis=0)
-            zhz = np.einsum("pc,pcd,pd->p", z, hs, z)
-            term_a += np.sum(alpha * (r2 * np.einsum("pcc->p", hs) - zhz))
+        for _, iu, ju, z, r2, ((alpha, acc, a, b, t, _), far) in walk.blocks(v):
+            z = z.T
+            np.greater(r2, 0.0, out=far)
+            alpha.fill(0.0)
+            _power(np.sqrt(r2, out=acc), gamma, alpha, where=far)  # |z|^gamma, 0 at z = 0
+            # z . (grad phi_i - grad phi_j)
+            acc.fill(0.0)
+            for c in range(3):
+                _take(g[c], iu, a)
+                a -= _take(g[c], ju, b)
+                acc += np.multiply(a, z[c], out=a)
+            term_b -= 2.0 * _dot(alpha, acc)
+            # a(z) : (H_i + H_j)
+            #   = sum_c H_cc sum_{e != c} z_e^2 - sum_{c < d} (H_cd + H_dc) z_c z_d
+            acc.fill(0.0)
+            for k, (c, d) in enumerate(_HESS_ENTRIES):
+                _take(hu[k], iu, a)
+                a += _take(hu[k], ju, b)
+                if c == d:
+                    e, f = (x for x in range(3) if x != c)
+                    np.multiply(z[e], z[e], out=b)
+                    b += np.multiply(z[f], z[f], out=t)
+                    acc += np.multiply(a, b, out=a)
+                else:
+                    acc -= np.multiply(a, np.multiply(z[c], z[d], out=b), out=a)
+            term_a += _dot(alpha, acc)
         # term_b and term_a already hold the ordered-pair sums of the
         # gradient and Hessian contributions; the gradient bracket is applied
         # per ordered pair, so it alone picks up a second factor of two
@@ -375,7 +405,7 @@ class BumpWeakIntegrand:
     def __init__(self, phi: GaussianBumpFn, gamma: float, v):
         s2 = phi.scale**2
         d = v - phi.center
-        self.half_gamma = 0.5 * gamma
+        self.gamma = gamma
         self.four_s2 = 4.0 * s2
         self.phi = phi.value(v)
         self.d = d.T.copy()  # one row per coordinate, for one-dimensional gathers
@@ -384,13 +414,14 @@ class BumpWeakIntegrand:
         self.total = 0.0
 
     def add(self, iu, ju, z, r2, spare):
-        (alpha, u, t, g, h, _), far = spare
+        (alpha, u, t, g, h, r), far = spare
+        z0, z1, z2 = z.T
         np.greater(r2, 0.0, out=far)
         alpha.fill(0.0)
-        np.power(r2, self.half_gamma, out=alpha, where=far)  # |z|^gamma, 0 at z = 0
-        np.multiply(z[:, 0], _take(self.d[0], iu, t), out=u)
-        u += np.multiply(z[:, 1], _take(self.d[1], iu, t), out=t)
-        u += np.multiply(z[:, 2], _take(self.d[2], iu, t), out=t)
+        _power(np.sqrt(r2, out=r), self.gamma, alpha, where=far)  # |z|^gamma, 0 at z = 0
+        np.multiply(z0, _take(self.d[0], iu, t), out=u)
+        u += np.multiply(z1, _take(self.d[1], iu, t), out=t)
+        u += np.multiply(z2, _take(self.d[2], iu, t), out=t)
         np.multiply(r2, _take(self.e, iu, g), out=g)
         g += np.multiply(u, np.subtract(self.four_s2, u, out=t), out=t)
         g *= _take(self.phi, iu, t)
@@ -399,7 +430,7 @@ class BumpWeakIntegrand:
         h -= np.multiply(u, np.add(self.four_s2, u, out=t), out=t)
         h *= _take(self.phi, ju, t)
         g += h
-        self.total += float(alpha @ g)
+        self.total += _dot(alpha, g)
 
     def row(self) -> dict:
         return {"weak_integrand": self.total * self.norm}

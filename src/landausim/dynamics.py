@@ -31,6 +31,16 @@ block-length array after it starts (freed and re-allocated blocks would be
 trimmed and faulted back in by the allocator on every block).  The arrays a
 walk yields are views of its buffers, valid until the next block; with each
 block it lends the pair consumers its idle term buffers as scratch.
+
+The pass is component major: z, the noise and the pair term of a block are
+(3, m) rows, each pair's arithmetic is that of the (m, 3) formulas (|z|^2
+and z . dB summed as (c0 + c2) + c1), and every sum has a fixed order.
+Particle i's share of a block is one pairwise `np.add.reduceat` over its
+row, and particle j's is one `np.bincount` per block and coordinate, in
+rank order, added to the running total block by block.  Integer gamma is
+taken by products (`potentials._power`), and nothing goes through BLAS, so
+a seeded run gives the same bits at any BLAS thread count and on any SIMD
+path of the same numpy for gamma in {0, -1, -2, -3}.
 """
 
 from __future__ import annotations
@@ -197,10 +207,15 @@ class _PairWalk:
 
     `blocks(v)` walks the pairs i < j of the (n, 3) points v in blocks of
     max(1, _PAIR_BLOCK // (n - 1)) whole rows, in rank order, so a block
-    holds at most max(_PAIR_BLOCK, n - 1) pairs.  The step keeps its noise
-    and kernel terms in the other buffers; the term buffers and the mask
-    are idle while a block's consumers run, and are lent to them as its
-    spare.
+    holds at most max(_PAIR_BLOCK, n - 1) pairs.  The layout is component
+    major: the pass copies v once into one (3, n) array, gathers each
+    coordinate of z = v[iu] - v[ju] with one-dimensional takes into a
+    (3, m) buffer, and sums |z|^2 = (z0^2 + z2^2) + z1^2, the order of
+    einsum("pc,pc->p") on the row-major z, so r2 has the same bits.  The
+    step keeps its noise and kernel terms in the other buffers; the term
+    buffers and the mask are idle while a block's consumers run, and are
+    lent to them as its spare.  `offsets[b]` holds the first pair of each
+    row of block b, relative to the block, for the step's row sums.
     """
 
     def __init__(self, n: int):
@@ -210,16 +225,21 @@ class _PairWalk:
         cap = k * (n - 1) - k * (k - 1) // 2  # the first block is the largest
         self.iu = np.empty(cap, dtype=np.intp)
         self.ju = np.empty(cap, dtype=np.intp)
-        self.z, self.db = np.empty((2, cap, 3))
+        self.vt = np.empty((3, n))
+        self.z = np.empty((3, cap))
+        self.db = np.empty((cap, 3))  # the keyed noise, drawn in rank order
         self.r2, self.r, self.alpha, self.coef, self.zdb = np.empty((5, cap))
         self.mask = np.empty(cap, dtype=bool)
-        self.terms = np.empty((2, cap, 3))  # the pair term and a scratch
+        self.terms = np.empty((6, cap))  # the (3, m) pair term and dB
         # row i's pairs as views: n - 1 - i copies of i, and the columns > i
         cols = np.arange(n)
         same = np.broadcast_to(cols[:, None], (n, n - 1))
         self._row_i = [same[i, :n - 1 - i] for i in range(n - 1)]
         self._row_j = [cols[i + 1:] for i in range(n - 1)]
         self._indexed = None  # first row of the block the indices hold
+        lengths = np.arange(n - 1, 0, -1)  # row i holds n - 1 - i pairs
+        self.offsets = [np.cumsum(rows) - rows for rows in
+                        (lengths[i0:i0 + self.rows] for i0 in range(0, n - 1, self.rows))]
 
     def _index(self, i0: int) -> int:
         """Write the indices of the block that starts at row i0 by joining
@@ -236,21 +256,28 @@ class _PairWalk:
 
     def blocks(self, v: np.ndarray):
         """Yield (lo, iu, ju, z, r2, spare) per block: lo is the rank of the
-        block's first pair, z = v[iu] - v[ju] and r2 = |z|^2; spare is
-        (six float rows, one bool row) of the block's length, scratch for
-        the block's consumers until the step resumes.  The arrays are views
-        of the walk's buffers, valid until the next block."""
+        block's first pair, z = v[iu] - v[ju] (shape (m, 3), the transpose
+        of a contiguous (3, m) buffer, so z.T[c] is a contiguous row) and
+        r2 = |z|^2; spare is (six float rows, one bool row) of the block's
+        length, scratch for the block's consumers until the step resumes.
+        The arrays are views of the walk's buffers, valid until the next
+        block."""
         n = self.n
         if v.shape[0] != n:
             raise ValueError(f"a walk over {n} points got {v.shape[0]}")
-        rows = self.terms.reshape(6, -1)
+        vt = self.vt
+        np.copyto(vt, v.T)
         for i0 in range(0, n - 1, self.rows):
             m = self._index(i0)
-            iu, ju, z, r2 = self.iu[:m], self.ju[:m], self.z[:m], self.r2[:m]
-            _take(v, iu, z, axis=0)
-            z -= _take(v, ju, self.terms[1, :m], axis=0)
-            np.einsum("pc,pc->p", z, z, out=r2)
-            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, r2, (rows[:, :m], self.mask[:m])
+            iu, ju, z, r2 = self.iu[:m], self.ju[:m], self.z[:, :m], self.r2[:m]
+            other = self.terms[3:, :m]
+            for c in range(3):
+                _take(vt[c], iu, z[c])
+                z[c] -= _take(vt[c], ju, other[c])
+            np.multiply(z, z, out=other)
+            np.add(other[0], other[2], out=r2)
+            r2 += other[1]
+            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z.T, r2, (self.terms[:, :m], self.mask[:m])
 
 
 def _feed_pairs(v: np.ndarray, consumers, walk: _PairWalk) -> None:
@@ -318,41 +345,49 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
         noise = noise.reshape(n * (n - 1) // 2, 3)  # rejects an override of the wrong size
     w_noise = math.sqrt(2.0 / (n - 1))
     w_drift = -4.0 * config.dt / (n - 1)
-    # each side adds in rank order, as one bincount over all pairs would
-    acc_i = np.zeros_like(v)
-    acc_j = np.zeros_like(v)
-    for lo, iu, ju, z, r2, spare in walk.blocks(v):
+    # particle i's row sum is one pairwise reduceat per block (a block holds
+    # whole rows, so each entry of acc_i is written once); the j side adds
+    # one bincount per block and coordinate, in rank order within the block
+    acc_i = np.zeros((3, n))
+    acc_j = np.zeros((3, n))
+    for k, (lo, iu, ju, z, r2, spare) in enumerate(walk.blocks(v)):
         for c in consumers:
             c.add(iu, ju, z, r2, spare)
         m = iu.size
-        if noise is None:
-            db = walk.db[:m]
-            stream.standard_normal(out=db)
-            db *= sqrt_dt
-        else:
-            db = noise[lo:lo + m]
+        z = z.T  # (3, m)
         r, alpha, coef, zdb, far = (b[:m] for b in (walk.r, walk.alpha, walk.coef,
                                                     walk.zdb, walk.mask))
-        term, other = walk.terms[:, :m]
+        term, db = walk.terms[:3, :m], walk.terms[3:, :m]
+        # dB in (3, m) rows; the keyed rows are drawn in rank order, then scaled
+        if noise is None:
+            stream.standard_normal(out=walk.db[:m])
+            np.multiply(walk.db[:m].T, sqrt_dt, out=db)
+        else:
+            np.copyto(db, noise[lo:lo + m].T)
         np.sqrt(r2, out=r)
         alpha_reg(pot, r, out=alpha)
         # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
-        np.greater(r, 0.0, out=far)
-        coef.fill(0.0)
-        np.divide(np.sqrt(alpha, out=zdb), r, out=coef, where=far)
+        with np.errstate(divide="ignore"):
+            np.divide(np.sqrt(alpha, out=zdb), r, out=coef)
+        if not np.greater(r, 0.0, out=far).all():
+            coef[~far] = 0.0
         coef *= w_noise
-        np.einsum("pc,pc->p", z, db, out=zdb)
-        # term = (w_noise coef r2) dB + (w_drift alpha - w_noise coef (z . dB)) z,
-        # with the rounding order that the seeded digests pin
-        np.multiply(db, np.multiply(coef, r2, out=r)[:, None], out=term)
+        # z . dB = (z0 d0 + z2 d2) + z1 d1, the order of einsum("pc,pc->p")
+        np.multiply(z[0], db[0], out=zdb)
+        zdb += np.multiply(z[2], db[2], out=r)
+        zdb += np.multiply(z[1], db[1], out=r)
+        # term = (w_noise coef r2) dB + (w_drift alpha - w_noise coef (z . dB)) z
+        np.multiply(db, np.multiply(coef, r2, out=r), out=term)
         coef *= zdb
         alpha *= w_drift
         alpha -= coef
-        term += np.multiply(z, alpha[:, None], out=other)
+        term += np.multiply(z, alpha, out=db)
+        rows = walk.offsets[k]
+        np.add.reduceat(term, rows, axis=1, out=acc_i[:, iu[0]:iu[0] + rows.size])
         for c in range(3):
-            np.add.at(acc_i[:, c], iu, term[:, c])
-            np.add.at(acc_j[:, c], ju, term[:, c])
-    v_new = v + (acc_i - acc_j)
+            acc_j[c] += np.bincount(ju, weights=term[c], minlength=n)
+    acc_i -= acc_j
+    v_new = v + acc_i.T
 
     if config.energy_mode == "rescale":
         if e_target is None:

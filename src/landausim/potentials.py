@@ -117,34 +117,59 @@ class PotentialSpec:
                 f"regularization violates the ratio bound: margin {margin:.3e} > 0")
 
 
-def alpha_reg(spec: PotentialSpec, r, out=None):
-    """Regularized strength alpha_eta(r) = (eta * chi(r/eta))**gamma.
+def _power(x, gamma: float, out=None, where=True):
+    """x**gamma into out (a new array when None), for x >= 0.
 
-    With `out` (a float array of r's shape) the values are written into it
-    and it is returned; the pair step passes its block buffer.
+    gamma = 0 gives exactly 1, and gamma = -1, -2, -3 give 1/x, 1/(x*x) and
+    1/((x*x)*x): correctly rounded products and one division, whose bits do
+    not depend on numpy's SIMD dispatch (np.power's do) and lie within a few
+    ulp of np.power.  Any other gamma goes to np.power.  x = 0 gives +inf for
+    gamma < 0 without a warning.  With `where`, only the selected entries of
+    out are written.  out must not overlap x.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    if gamma == 0.0:
+        np.copyto(out, 1.0, where=where)
+        return out
+    with np.errstate(divide="ignore", over="ignore"):
+        if gamma in (-1.0, -2.0, -3.0):
+            den = x
+            if gamma != -1.0:
+                den = np.multiply(x, x, out=out, where=where)
+                if gamma == -3.0:
+                    np.multiply(den, x, out=den, where=where)
+            np.divide(1.0, den, out=out, where=where)
+        else:
+            np.power(x, gamma, out=out, where=where)
+    return out
+
+
+def alpha_reg(spec: PotentialSpec, r, out=None):
+    """Regularized strength alpha_eta(r) = (eta * chi(r/eta))**gamma, with
+    the power taken by `_power`.
+
+    With `out` (a float array of r's shape, not r itself) the values are
+    written into it and it is returned; the pair step passes its block
+    buffer.
     """
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if out is None:
         out = np.empty_like(rr)
-    if spec.gamma == 0.0:
-        out.fill(1.0)
-    else:
+    _power(rr, spec.gamma, out)
+    if spec.gamma != 0.0:
         # chi_eta(r) == r for r >= eta; the entries below eta (r = 0 too) are overwritten
-        with np.errstate(divide="ignore", over="ignore"):
-            np.power(rr, spec.gamma, out=out)
         near = rr < spec.eta
         if np.any(near):
-            out[near] = chi_eta(spec.eta, rr[near]) ** spec.gamma
+            out[near] = _power(chi_eta(spec.eta, rr[near]), spec.gamma)
     return out if np.ndim(r) else out[0]
 
 
 def alpha_bare(gamma: float, r):
-    """Bare power law r**gamma (r = 0 maps to +inf for gamma < 0)."""
+    """Bare power law r**gamma by `_power` (r = 0 maps to +inf for gamma < 0)."""
     r = np.asarray(r, dtype=float)
-    if gamma == 0.0:
-        return np.ones_like(r)
-    with np.errstate(divide="ignore"):
-        return r ** gamma
+    out = _power(np.atleast_1d(r), gamma)
+    return out if r.ndim else out[0]
 
 
 def ratio_condition_margin(spec: PotentialSpec, r=None) -> float:

@@ -42,9 +42,11 @@ def smoothstep_antideriv(u):
     """S(u) = int_0^u s, equal to u^6 - 3u^5 + 2.5u^4 on [0, 1].
 
     For u > 1 returns S(1) + (u - 1) = u - 0.5, matching s == 1 beyond the
-    transition; negative arguments return 0.
+    transition; negative arguments return 0.  The fourth power is a product
+    of squares (u**4 would take np.power, whose bits follow SIMD dispatch).
     """
     u = np.asarray(u, dtype=float)
     uc = np.clip(u, 0.0, 1.0)
-    core = uc**4 * (2.5 + uc * (-3.0 + uc))
+    u2 = uc * uc
+    core = u2 * u2 * (2.5 + uc * (-3.0 + uc))
     return core + np.where(u > 1.0, u - 1.0, 0.0)

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import landausim
 from landausim import cli as cli_module
 from landausim import dynamics
 from landausim.cli import main
@@ -19,6 +17,8 @@ from landausim.errors import BlowupError
 from landausim.estimators import EmpiricalMeasure, PairStats, pair_inverse_square
 from landausim.reference import maxwellian_entropy
 from landausim.runio import load_trajectory
+
+from _child import avx512_dispatch_targets, run_child
 
 
 def cli(*argv):
@@ -458,14 +458,6 @@ def test_verify_all_checks_pass(capsys):
     assert "5/5 checks passed" in out
 
 
-def _run_child(script: str, **env_extra) -> subprocess.CompletedProcess:
-    src = str(Path(landausim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_extra)
-    return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
-
-
 def test_simulate_and_sweep_never_import_scipy(tmp_path):
     # scipy is loaded by the nearest-neighbor entropy of simulate --entropy
     # alone; the functionals, grid H and I included, never need it
@@ -488,7 +480,7 @@ assert cli.main(["simulate", "--config", {str(cfg)!r},
                  "--out", {str(tmp_path / "run_entropy")!r}, "--entropy"]) == 0
 assert "scipy" in sys.modules, "simulate --entropy"
 """
-    proc = _run_child(script)
+    proc = run_child(script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -512,16 +504,6 @@ print(repr(sums[0]))
 """
 
 
-def _avx512_dispatch_targets():
-    """This numpy's AVX-512 dispatch targets that the CPU runs, if any."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        return []
-    return [t for t in __cpu_dispatch__
-            if ("AVX512" in t or t == "X86_V4") and __cpu_features__.get(t)]
-
-
 @pytest.mark.parametrize("dispatch", ["default", "no-avx512"])
 def test_grid_outputs_are_the_same_bits_at_one_and_two_blas_threads(dispatch):
     # H, I and their errors are slab sums in a fixed order, so the printed
@@ -530,13 +512,13 @@ def test_grid_outputs_are_the_same_bits_at_one_and_two_blas_threads(dispatch):
     # so that run is compared only with itself
     env = {}
     if dispatch == "no-avx512":
-        targets = _avx512_dispatch_targets()
+        targets = avx512_dispatch_targets()
         if not targets:
             pytest.skip("no AVX-512 dispatch to switch off on this CPU")
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
     out = []
     for threads in ("1", "2"):
-        proc = _run_child(_GRID_BITS, OPENBLAS_NUM_THREADS=threads, **env)
+        proc = run_child(_GRID_BITS, OPENBLAS_NUM_THREADS=threads, **env)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]

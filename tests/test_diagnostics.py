@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,33 @@ def test_bump_integrand_matches_weak_form_residual(residual_traj, coincident):
     traj = Trajectory(config=residual_traj.config, snapshots=snaps, diagnostics=rows)
     want = weak_form_residual(traj, phi, traj.times[-1])
     assert recorded_weak_residual(traj, phi) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_weak_residual_allocates_no_block_beyond_its_walk(monkeypatch):
+    # every block temporary lives in the walk's spare rows, and the Hessians
+    # are gathered as six one-dimensional rows of unique entries, so at
+    # N = 1024 (16 blocks) the residual allocates O(N) beyond the walk's own
+    # 9.7 MB of buffers, where it used to take 11.6 MB
+    traj = run(SimConfig(n_particles=1024, gamma=-2.0, dt=1e-3, t_end=0.002, seed=3,
+                         eta=0.2, snapshot_stride=1))
+    walks = []
+    real_init = _PairWalk.__init__
+
+    def recorded_init(self, n):
+        walks.append(self)
+        real_init(self, n)
+
+    monkeypatch.setattr(_PairWalk, "__init__", recorded_init)
+    phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
+    tracemalloc.start()
+    try:
+        weak_form_residual(traj, phi, traj.times[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    walk_bytes = sum(a.nbytes for a in vars(walks[0]).values() if isinstance(a, np.ndarray))
+    assert len(walks) == 1 and walk_bytes > 9e6
+    assert peak - walk_bytes < 5e6, (peak, walk_bytes)
 
 
 def test_weak_residual_stride_errors(residual_traj):

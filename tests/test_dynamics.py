@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -14,6 +15,8 @@ from landausim.dynamics import (NoiseKey, ParticleState, SimConfig,
 from landausim.errors import BlowupError, ConfigError, StrideError
 from landausim.estimators import EmpiricalMeasure, PairStats, pair_inverse_square
 from landausim.potentials import diffusion_sigmaN, drift_bN
+
+from _child import avx512_dispatch_targets, run_child
 
 
 def _cfg(**kw):
@@ -118,6 +121,16 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
     assert expect_lo == n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("n", [7, 400])  # one row block; three
+def test_walk_r2_has_the_bits_of_the_row_major_einsum(n):
+    # the (3, m) walk sums (z0^2 + z2^2) + z1^2, as einsum does on (m, 3) rows
+    v = np.random.default_rng(n).normal(size=(n, 3)) * np.array([1.0, 1e-3, 30.0])
+    for _, iu, ju, z, r2, _ in dynamics._PairWalk(n).blocks(v):
+        rows = v[iu] - v[ju]
+        np.testing.assert_array_equal(z, rows)
+        np.testing.assert_array_equal(r2, np.einsum("pc,pc->p", rows, rows))
+
+
 def test_pair_noise_shape_determinism_and_scale():
     a = pair_noise(seed=9, step_index=4, n=8, dt=0.25)
     b = pair_noise(seed=9, step_index=4, n=8, dt=0.25)
@@ -129,7 +142,7 @@ def test_pair_noise_shape_determinism_and_scale():
     assert big.std() == pytest.approx(2.0, rel=0.02)  # sqrt(dt) scaling
 
 
-@pytest.mark.parametrize("n", [3, 400])  # N = 400 walks two row blocks
+@pytest.mark.parametrize("n", [3, 400])  # N = 400 walks three row blocks
 def test_block_noise_is_the_keyed_array(n):
     cfg = _cfg(n_particles=n, seed=11)
     state = ParticleState(init_iid(cfg).v, step_index=5)
@@ -325,6 +338,27 @@ def test_step_matches_reference_pair_kernels(v):
     np.testing.assert_allclose(out.v, expect, rtol=1e-14, atol=0)
 
 
+def test_multi_block_step_matches_reference_pair_kernels():
+    # N = 400 walks three row blocks: the blocks' row sums and bincounts add
+    # up to the pair kernels applied pair by pair
+    n = 400
+    cfg = _cfg(n_particles=n, gamma=-3.0, dt=1e-3, eta=None, seed=8)
+    pot = cfg.potential()
+    v = init_iid(cfg).v
+    noise = pair_noise(cfg.seed, 0, n, cfg.dt)
+    iu, ju = np.triu_indices(n, k=1)
+    z = v[iu] - v[ju]
+    assert np.any(np.sum(z * z, axis=1) < pot.eta**2)  # the chi_eta branch is walked
+    term = (2.0 / (n - 1)) * drift_bN(pot, z) * cfg.dt
+    term += math.sqrt(2.0 / (n - 1)) * np.einsum("pab,pb->pa", diffusion_sigmaN(pot, z), noise)
+    expect = v.copy()
+    np.add.at(expect, iu, term)
+    np.add.at(expect, ju, -term)
+    out = step(ParticleState(v.copy()), cfg, pot, noise=noise)
+    assert len(dynamics._PairWalk(n).offsets) == 3
+    np.testing.assert_allclose(out.v, expect, rtol=1e-13, atol=0)
+
+
 def test_two_particles_conserve_center_of_mass():
     cfg = _cfg(n_particles=2, dt=1e-3, t_end=0.1, seed=1)
     state = ParticleState(np.array([[1.0, 0.0, 0.0], [-1.0, 0.5, 0.0]]))
@@ -475,19 +509,21 @@ def test_run_rescale_keeps_initial_energy():
 # Seeded-output digests: any change to the step's arithmetic or summation
 # order shows up here.  A change that moves results on purpose updates the
 # digest and says why.
+# Frozen with the component-major step: per-block row reductions and
+# bincounts, and integer gamma taken by products, not np.power.
 
 _DIGEST_CONFIGS = [
     (dict(n_particles=64, gamma=0.0, dt=1e-2, t_end=0.1, seed=1, eta=0.5),
-     "dc34ff8a8e7e44273eeeeb6aaa996bff"
-     "db9bc5936c32f69ebbd392f0c3ddd663"),
+     "0160acca3d0fc3f27adf0b0273ff0e3f"
+     "06cdcc7ec775a6a6bca38a69b52ac047"),
     # N = 400 has 79 800 pairs: the step walks more than one row block
     (dict(n_particles=400, gamma=-2.0, dt=1e-3, t_end=0.005, seed=2,
           energy_mode="rescale"),
-     "2fa9bb788d6e69a8ae2827e12cc9a1d6"
-     "1b4b916f687b653803b275498de099b1"),
+     "92eb9530beb7b7e77bbc1b08a5f09972"
+     "0cdafcae39eef0a030bddf83964095f0"),
     (dict(n_particles=130, gamma=-3.0, dt=1e-3, t_end=0.01, seed=3),
-     "0d87e65770371858244518026beab7e2"
-     "fc0fa3cd164b63d2ef038dbb97921704"),
+     "2906efd6cc583ac536a5bf0f512d3242"
+     "e0bd450489200caedb95ed8a68cc641b"),
 ]
 
 
@@ -499,3 +535,47 @@ def test_seeded_final_snapshot_digest(kw, digest):
     assert final.step_index == cfg.n_steps
     got = hashlib.sha256(final.v.astype("<f8").tobytes()).hexdigest()
     assert got == digest
+
+
+_DIGEST_BITS = """
+import hashlib, json
+import numpy as np
+from landausim.diagnostics import BumpWeakIntegrand, GaussianBumpFn
+from landausim.dynamics import SimConfig, run
+from landausim.potentials import PotentialSpec, alpha_reg
+configs = json.loads(%r)
+for kw in configs:
+    final = run(SimConfig(snapshot_stride=1000, **kw)).snapshots[-1]
+    print(hashlib.sha256(final.v.astype("<f8").tobytes()).hexdigest())
+# alpha_eta over the chi_eta band and below it, which a digest run may miss
+r = np.linspace(0.0, 0.5, 100001)
+for gamma in (-1.0, -2.0, -3.0):
+    print(hashlib.sha256(alpha_reg(PotentialSpec(gamma, 0.25), r).tobytes()).hexdigest())
+# the weak-form integrand that rides the step's pass
+phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
+kw = configs[1]
+traj = run(SimConfig(**kw), pair_observers=[lambda s: BumpWeakIntegrand(phi, kw["gamma"], s.v)])
+print([row["weak_integrand"] for row in traj.diagnostics])
+"""
+
+
+def test_seeded_digests_do_not_depend_on_simd_dispatch_or_blas_threads():
+    # integer gamma is taken by products and one division, never np.power,
+    # and no sum of the step goes through BLAS, so the seeded runs give the
+    # same bytes with AVX-512 dispatch on or off and at one or two BLAS
+    # threads; the weak-form integrand (no BLAS sum either) takes np.exp,
+    # so only its thread count is free
+    settings = [{}]
+    targets = avx512_dispatch_targets()
+    if targets:
+        settings.append({"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    script = _DIGEST_BITS % json.dumps([kw for kw, _ in _DIGEST_CONFIGS])
+    out = []
+    for env in settings:
+        for threads in ("1", "2"):
+            proc = run_child(script, OPENBLAS_NUM_THREADS=threads, **env)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.splitlines())
+    assert out[0][:3] == [digest for _, digest in _DIGEST_CONFIGS]
+    assert all(o[:-1] == out[0][:-1] for o in out), out
+    assert all(out[k][-1] == out[k + 1][-1] for k in range(0, len(out), 2)), out

@@ -133,6 +133,19 @@ def test_alpha_reg_gamma_zero_is_one():
     assert np.all(alpha_reg(spec, r) == 1.0)
 
 
+@pytest.mark.parametrize("gamma", [-1.0, -2.0, -3.0])
+def test_alpha_reg_integer_powers_match_np_power(gamma):
+    # the products and one division stay within rel 1e-15 of np.power, in the
+    # power-law range, in the chi_eta band, on the plateau and at r = 0
+    eta = 0.1
+    rng = np.random.default_rng(3)
+    r = np.concatenate([[0.0], rng.uniform(0.0, 2.0 * eta, 499_999),
+                        np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 500_000))])
+    want = np.power(np.where(r < eta, chi_eta(eta, r), r), gamma)
+    np.testing.assert_allclose(alpha_reg(PotentialSpec(gamma, eta), r), want,
+                               rtol=1e-15, atol=0)
+
+
 def test_alpha_reg_scalar_array_consistency():
     spec = PotentialSpec(gamma=-2.5, eta=0.3)
     r = np.array([0.01, 0.2, 0.31, 5.0])
