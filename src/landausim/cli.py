@@ -165,8 +165,6 @@ def _format_value(v) -> str:
 
 def _cmd_sweep(args) -> int:
     base = load_config(args.config).to_dict()
-    if args.axis not in _SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {_SWEEP_AXES}")
     values = _parse_list(args.values, int if args.axis == "n_particles" else float,
                          "--values")
     if not values:

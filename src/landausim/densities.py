@@ -134,17 +134,18 @@ class GaussianMixtureModel(DensityModel):
         if any(c.dim != self.dim for c in self.components):
             raise ValueError("mixture components must share a dimension")
 
-    def _component_logs(self, X):
-        return np.stack([c.log_density(X) for c in self.components], axis=0)
+    def _weighted_logs(self, X):
+        """log w_i + log f_i(X), one row per component, and their column max."""
+        logs = np.stack([c.log_density(X) for c in self.components])
+        logs += np.log(self.weights)[:, None]
+        return logs, logs.max(axis=0)
 
     def log_density(self, X):
-        logs = self._component_logs(X) + np.log(self.weights)[:, None]
-        peak = logs.max(axis=0)
+        logs, peak = self._weighted_logs(X)
         return peak + np.log(np.exp(logs - peak).sum(axis=0))
 
     def _responsibilities(self, X):
-        logs = self._component_logs(X) + np.log(self.weights)[:, None]
-        peak = logs.max(axis=0)
+        logs, peak = self._weighted_logs(X)
         w = np.exp(logs - peak)
         return w / w.sum(axis=0)
 
@@ -285,35 +286,39 @@ class ShiftedModel(DensityModel):
         return lo + self.shift, hi + self.shift
 
 
-def grid_integrate(fn, lo, hi, n_points, chunk: int = 2**16):
+_GRID_CHUNK = 2**16  # points per evaluation chunk of grid_integrate
+_FD_STEP = 1e-6  # the central-difference step of check_log_grad_fd
+_MASS_TOL = 1e-6  # how far from 1 check_mass lets the mass be
+
+
+def grid_integrate(fn, lo, hi, n_points):
     """Trapezoid rule for int fn over the box [lo, hi] on a tensor grid.
 
-    fn maps (m, dim) points to (m,) values, or to a sequence (or (k, m)
-    array) of k such rows, for which a list of k integrals is returned, each
-    accumulated exactly as a one-row call would.  Evaluation runs over
-    chunks of whole slabs of the leading axis, as many as fit in ``chunk``
-    points (at least one), so only one chunk of points and values is held
-    at a time.  Each slab's weighted values are summed by one numpy
-    reduction in a fixed order (no BLAS), and the slab sums are added in
-    slab order, so the result is the same, bit for bit, for every ``chunk``
-    and every BLAS thread count.
+    The grid has n_points per axis.  fn maps (m, dim) points to (m,)
+    values, or to a sequence (or (k, m) array) of k such rows, for which a
+    list of k integrals is returned, each accumulated exactly as a one-row
+    call would.  Evaluation runs over chunks of whole slabs of the leading
+    axis, as many as fit in ``_GRID_CHUNK`` points (at least one), so only
+    one chunk of points and values is held at a time.  Each slab's weighted
+    values are summed by one numpy reduction in a fixed order (no BLAS), and
+    the slab sums are added in slab order, so the result is the same, bit
+    for bit, for every chunk size and every BLAS thread count.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     dim = lo.size
-    if np.isscalar(n_points):
-        n_points = [int(n_points)] * dim
-    axes = [np.linspace(lo[d], hi[d], n_points[d]) for d in range(dim)]
+    n = int(n_points)
+    axes = [np.linspace(lo[d], hi[d], n) for d in range(dim)]
     wts = []
     for ax in axes:
-        w = np.full(ax.size, ax[1] - ax[0])
+        w = np.full(n, ax[1] - ax[0])
         w[0] *= 0.5
         w[-1] *= 0.5
         wts.append(w)
-    slab = math.prod(n_points[1:])
-    rows = max(1, chunk // slab)
+    slab = n ** (dim - 1)
+    rows = max(1, _GRID_CHUNK // slab)
     acc = single = None
-    for start in range(0, n_points[0], rows):
+    for start in range(0, n, rows):
         lead = slice(start, start + rows)
         grids = np.meshgrid(axes[0][lead], *axes[1:], indexing="ij", copy=False)
         pts = np.stack(grids, axis=-1).reshape(-1, dim)
@@ -328,26 +333,24 @@ def grid_integrate(fn, lo, hi, n_points, chunk: int = 2**16):
     return acc[0] if single else acc
 
 
-def check_mass(model: DensityModel, n_points=None, tol: float = 1e-6) -> float:
-    """Quadrature mass certificate; raises CoverageError when off from 1."""
+def check_mass(model: DensityModel) -> float:
+    """Quadrature mass certificate on 96 points per axis (24 above 3D)."""
     lo, hi = model.bounding_box(1e-8)
-    if n_points is None:
-        n_points = 96 if model.dim <= 3 else 24
-    mass = grid_integrate(model.density, lo, hi, n_points)
-    if not abs(mass - 1.0) <= tol:  # a NaN mass fails too
-        raise CoverageError(f"grid mass {mass!r} deviates from 1 beyond {tol}")
+    mass = grid_integrate(model.density, lo, hi, 96 if model.dim <= 3 else 24)
+    if not abs(mass - 1.0) <= _MASS_TOL:  # a NaN mass fails too
+        raise CoverageError(f"grid mass {mass!r} deviates from 1 beyond {_MASS_TOL}")
     return mass
 
 
-def check_log_grad_fd(model: DensityModel, X, h: float = 1e-6) -> float:
+def check_log_grad_fd(model: DensityModel, X) -> float:
     """Max relative error of log_grad vs central finite differences at X."""
     X = np.atleast_2d(X)
     g = model.log_grad(X)
     worst = 0.0
     for d in range(model.dim):
         step = np.zeros(model.dim)
-        step[d] = h
-        fd = (model.log_density(X + step) - model.log_density(X - step)) / (2 * h)
+        step[d] = _FD_STEP
+        fd = (model.log_density(X + step) - model.log_density(X - step)) / (2 * _FD_STEP)
         scale = np.maximum(np.abs(g[:, d]), 1.0)
         worst = max(worst, float(np.max(np.abs(fd - g[:, d]) / scale)))
     return worst

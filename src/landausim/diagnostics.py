@@ -65,9 +65,10 @@ class GaussianBumpFn:
         outer = d[:, :, None] * d[:, None, :] / s2**2
         return self.value(X)[:, None, None] * (outer - np.eye(3) / s2)
 
-    def c2_norm_bound(self, n_samples: int = 4001) -> float:
-        """sup|phi| + sup|grad phi| + sup||hess phi||_2 by dense radial sampling."""
-        r = np.linspace(0.0, 8.0 * self.scale, n_samples)
+    def c2_norm_bound(self) -> float:
+        """sup|phi| + sup|grad phi| + sup||hess phi||_2 by dense radial
+        sampling (4001 radii on [0, 8 scale])."""
+        r = np.linspace(0.0, 8.0 * self.scale, 4001)
         e = self.amplitude * np.exp(-0.5 * (r / self.scale) ** 2)
         grad_mag = e * r / self.scale**2
         eig_radial = e * (r**2 / self.scale**4 - 1.0 / self.scale**2)
@@ -212,33 +213,31 @@ def _lattice_centers(radius: float):
     return pts
 
 
-class TestFunctionDictionary:
-    """Weighted family {(2^-n, phi_n)}: Gaussian bumps with C^2 norm sum <= 1.
+# the dictionary's length, lattice radius and bump scales
+_DICT_SIZE, _DICT_RADIUS, _DICT_SCALES = 64, 6.0, (0.5, 1.0, 2.0)
 
-    Centers run over the integer lattice in B(0, radius) ordered by |center|
+
+class TestFunctionDictionary:
+    """Weighted family {(2^-n, phi_n)}, n = 1..64: Gaussian bumps with C^2
+    norm sum <= 1.
+
+    Centers run over the integer lattice in B(0, 6) ordered by |center|
     then lexicographically; each center carries scales (1/2, 1, 2) in order.
     Amplitudes normalize sup|phi| + sup|grad phi| + sup||hess phi|| to 1,
     re-verified by dense sampling at construction.
     """
 
-    def __init__(self, n_max: int = 64, radius: float = 6.0,
-                 scales=(0.5, 1.0, 2.0)):
-        self.functions = []
-        for center in _lattice_centers(radius):
-            for s in scales:
-                amp = (1.0 - 1e-9) / (1.0 + math.exp(-0.5) / s + 1.0 / s**2)
-                self.functions.append(GaussianBumpFn(center, s, amp))
-                if len(self.functions) == n_max:
-                    break
-            if len(self.functions) == n_max:
-                break
-        if len(self.functions) < n_max:
-            raise ConfigError("lattice too small for requested dictionary size")
+    def __init__(self):
+        grid = ((center, s) for center in _lattice_centers(_DICT_RADIUS)
+                for s in _DICT_SCALES)
+        self.functions = [
+            GaussianBumpFn(center, s, (1.0 - 1e-9) / (1.0 + math.exp(-0.5) / s + 1.0 / s**2))
+            for center, s in itertools.islice(grid, _DICT_SIZE)]
         for phi in self.functions:
             bound = phi.c2_norm_bound()
             if bound > 1.0:
                 raise ConfigError(f"C^2 norm bound violated: {bound}")
-        self.weights = 0.5 ** np.arange(1, n_max + 1)
+        self.weights = 0.5 ** np.arange(1, _DICT_SIZE + 1)
 
     @property
     def n_max(self) -> int:
@@ -265,20 +264,24 @@ def default_dictionary() -> TestFunctionDictionary:
     return TestFunctionDictionary()
 
 
-def bl_distance(a, b, dictionary: TestFunctionDictionary | None = None) -> float:
-    """d(a, b) = sum_n 2^{-n} |int phi_n da - int phi_n db|.
+def bl_distance(a, b) -> float:
+    """d(a, b) = sum_n 2^{-n} |int phi_n da - int phi_n db| over the
+    functions of `default_dictionary()`.
 
     The series is truncated at the dictionary length; the dictionary's
     `truncation_bound` bounds the tail.
     """
-    dic = dictionary or default_dictionary()
+    dic = default_dictionary()
     ia, ib = dic.integrals(a), dic.integrals(b)
     return float(np.sum(dic.weights * np.abs(ia - ib)))
 
 
-def holder_seminorm(times, measures=None, exponent: float = 0.125,
-                    dictionary: TestFunctionDictionary | None = None) -> float:
-    """sup_{s<t} d(mu_s, mu_t)/|t-s|^exponent along a measure-valued path.
+_HOLDER_EXPONENT = 0.125  # of holder_seminorm
+
+
+def holder_seminorm(times, measures=None) -> float:
+    """sup_{s<t} d(mu_s, mu_t)/|t-s|^(1/8) along a measure-valued path, d
+    being `bl_distance`.
 
     Accepts a Trajectory (snapshots become empirical measures) or parallel
     lists of times and measures.
@@ -290,13 +293,13 @@ def holder_seminorm(times, measures=None, exponent: float = 0.125,
     times = np.asarray(times, dtype=float)
     if len(times) != len(measures) or len(times) < 2:
         raise ConfigError("need matching times/measures with at least two entries")
-    dic = dictionary or default_dictionary()
+    dic = default_dictionary()
     table = np.stack([dic.integrals(m) for m in measures], axis=1)  # (n_phi, S)
     best = 0.0
     for l in range(len(times) - 1):
         diff = np.abs(table[:, l + 1:] - table[:, [l]])
         dists = dic.weights @ diff
-        gaps = np.abs(times[l + 1:] - times[l]) ** exponent
+        gaps = np.abs(times[l + 1:] - times[l]) ** _HOLDER_EXPONENT
         best = max(best, float(np.max(dists / gaps)))
     return best
 
@@ -313,20 +316,26 @@ def _dot(x, y) -> float:
     return float(np.add.reduce(np.multiply(x, y, out=y)))
 
 
-def weak_form_residual(traj: Trajectory, phi, t: float,
-                       gamma: float | None = None) -> float:
+def _bare_alpha(r2, gamma: float, alpha, r, far):
+    """alpha = |z|^gamma from r2 = |z|^2, 0 where r2 = 0; r and far are scratch."""
+    np.greater(r2, 0.0, out=far)
+    alpha.fill(0.0)
+    return _power(np.sqrt(r2, out=r), gamma, alpha, where=far)
+
+
+def weak_form_residual(traj: Trajectory, phi, t: float) -> float:
     """Residual of the time-integrated weak form against phi at time t.
 
     F = -int phi dmu_t + int phi dmu_0
         + int_0^t (1/N^2) sum_{i != j} 1_{V_i != V_j} [ b(z_ij).(grad phi(V_i)
           - grad phi(V_j)) + alpha(|z_ij|) a(z_ij) : Hess phi(V_i) ] ds
 
-    with the bare alpha(r) = r^gamma and b(z) = -2 alpha z; the time integral
-    is a trapezoid over the recorded snapshots.  For phi constant the residual
-    is exactly zero; for affine phi it reduces to momentum conservation.
+    with the bare alpha(r) = r^gamma, gamma that of the trajectory's config,
+    and b(z) = -2 alpha z; the time integral is a trapezoid over the recorded
+    snapshots.  For phi constant the residual is exactly zero; for affine phi
+    it reduces to momentum conservation.
     """
-    if gamma is None:
-        gamma = traj.config.gamma
+    gamma = traj.config.gamma
     idx = traj._index_at(t)
     times = traj.times
     if abs(times[0]) > 1e-12:
@@ -344,10 +353,7 @@ def weak_form_residual(traj: Trajectory, phi, t: float,
                        for c, d in _HESS_ENTRIES])
         term_b = term_a = 0.0
         for _, iu, ju, z, r2, ((alpha, acc, a, b, t, _), far) in walk.blocks(v):
-            z = z.T
-            np.greater(r2, 0.0, out=far)
-            alpha.fill(0.0)
-            _power(np.sqrt(r2, out=acc), gamma, alpha, where=far)  # |z|^gamma, 0 at z = 0
+            _bare_alpha(r2, gamma, alpha, acc, far)
             # z . (grad phi_i - grad phi_j)
             acc.fill(0.0)
             for c in range(3):
@@ -415,10 +421,8 @@ class BumpWeakIntegrand:
 
     def add(self, iu, ju, z, r2, spare):
         (alpha, u, t, g, h, r), far = spare
-        z0, z1, z2 = z.T
-        np.greater(r2, 0.0, out=far)
-        alpha.fill(0.0)
-        _power(np.sqrt(r2, out=r), self.gamma, alpha, where=far)  # |z|^gamma, 0 at z = 0
+        z0, z1, z2 = z
+        _bare_alpha(r2, self.gamma, alpha, r, far)
         np.multiply(z0, _take(self.d[0], iu, t), out=u)
         u += np.multiply(z1, _take(self.d[1], iu, t), out=t)
         u += np.multiply(z2, _take(self.d[2], iu, t), out=t)

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +112,7 @@ class SimConfig:
             raise ConfigError(f"energy_mode must be 'none' or 'rescale', got {self.energy_mode!r}")
         if self.snapshot_stride < 1:
             raise ConfigError(f"snapshot_stride must be an int >= 1, got {self.snapshot_stride}")
-        self.potential()  # validates gamma/eta/theta
+        self.potential  # builds, and so checks, the PotentialSpec once
 
     @property
     def eta_effective(self) -> float:
@@ -119,7 +120,9 @@ class SimConfig:
             return float(self.eta)
         return default_eta(self.n_particles, self.eta_c, self.eta_kappa)
 
+    @cached_property
     def potential(self) -> PotentialSpec:
+        """PotentialSpec(gamma, eta_effective, theta), built once; the steps take it."""
         return PotentialSpec(self.gamma, self.eta_effective, self.theta)
 
     @property
@@ -256,10 +259,10 @@ class _PairWalk:
 
     def blocks(self, v: np.ndarray):
         """Yield (lo, iu, ju, z, r2, spare) per block: lo is the rank of the
-        block's first pair, z = v[iu] - v[ju] (shape (m, 3), the transpose
-        of a contiguous (3, m) buffer, so z.T[c] is a contiguous row) and
-        r2 = |z|^2; spare is (six float rows, one bool row) of the block's
-        length, scratch for the block's consumers until the step resumes.
+        block's first pair, z = (v[iu] - v[ju]).T (shape (3, m), one
+        contiguous row per coordinate) and r2 = |z|^2; spare is (six float
+        rows, one bool row) of the block's length, scratch for the block's
+        consumers until the step resumes.
         The arrays are views of the walk's buffers, valid until the next
         block."""
         n = self.n
@@ -277,7 +280,7 @@ class _PairWalk:
             np.multiply(z, z, out=other)
             np.add(other[0], other[2], out=r2)
             r2 += other[1]
-            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z.T, r2, (self.terms[:, :m], self.mask[:m])
+            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, r2, (self.terms[:, :m], self.mask[:m])
 
 
 def _feed_pairs(v: np.ndarray, consumers, walk: _PairWalk) -> None:
@@ -321,19 +324,18 @@ def _rescale_energy(v: np.ndarray, e_target: float) -> np.ndarray:
     return m + lam * w
 
 
-def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = None,
-         noise: np.ndarray | None = None,
+def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = None,
          e_target: float | None = None, consumers=(),
          walk: _PairWalk | None = None) -> ParticleState:
-    """One Euler-Maruyama step; `noise` overrides the keyed pair increments.
+    """One Euler-Maruyama step under `config.potential`; `noise` overrides the
+    keyed pair increments, `e_target` the starting energy that "rescale" keeps.
 
     Each of `consumers` gets add(iu, ju, z, r2, spare) for every block of
     the pair pass over the starting state, before the step checks its
     result (see `_PairWalk.blocks`).  The pass runs in `walk`'s buffers (a
     fresh walk when none is given).
     """
-    if pot is None:
-        pot = config.potential()
+    pot = config.potential
     v = state.v
     n = v.shape[0]
     if walk is None:
@@ -354,7 +356,6 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
         for c in consumers:
             c.add(iu, ju, z, r2, spare)
         m = iu.size
-        z = z.T  # (3, m)
         r, alpha, coef, zdb, far = (b[:m] for b in (walk.r, walk.alpha, walk.coef,
                                                     walk.zdb, walk.mask))
         term, db = walk.terms[:3, :m], walk.terms[3:, :m]
@@ -399,6 +400,9 @@ def step(state: ParticleState, config: SimConfig, pot: PotentialSpec | None = No
     return ParticleState(v_new, state.t + config.dt, state.step_index + 1)
 
 
+_SNAPSHOT_TOL = 1e-9  # how far from t a snapshot recorded "at t" may lie
+
+
 @dataclass
 class Trajectory:
     """Recorded run: snapshot states plus per-snapshot diagnostics rows."""
@@ -413,18 +417,19 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
 
-    def _index_at(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the snapshot recorded at time t; StrideError if none is."""
+    def _index_at(self, t: float) -> int:
+        """Index of the snapshot recorded at t (to 1e-9); StrideError if none is."""
         times = self.times
         k = int(np.argmin(np.abs(times - t)))
-        if abs(times[k] - t) > tol:
+        if abs(times[k] - t) > _SNAPSHOT_TOL:
             raise StrideError(
                 f"t={t} not on the snapshot grid (nearest {times[k]}); "
                 "reduce snapshot_stride")
         return k
 
-    def state_at(self, t: float, tol: float = 1e-9) -> ParticleState:
-        return self.snapshots[self._index_at(t, tol)]
+    def state_at(self, t: float) -> ParticleState:
+        """The snapshot recorded at time t (to 1e-9)."""
+        return self.snapshots[self._index_at(t)]
 
 
 def _default_observer(state: ParticleState) -> dict:
@@ -447,7 +452,6 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     """
     t0 = time.perf_counter()
     state = init_iid(config)
-    pot = config.potential()
     e_target = math.fsum((state.v * state.v).ravel())
     traj = Trajectory(config=config)
     walk = _PairWalk(config.n_particles)
@@ -470,8 +474,7 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     n_steps = config.n_steps
     try:
         for k in range(n_steps):
-            state = step(state, config, pot, e_target=e_target, consumers=consumers,
-                         walk=walk)
+            state = step(state, config, e_target=e_target, consumers=consumers, walk=walk)
             complete_row(consumers)
             consumers = ()
             if state.step_index % config.snapshot_stride == 0 or k == n_steps - 1:

@@ -14,6 +14,7 @@ from .errors import ConfigError, DegenerateCloudError
 __all__ = ["EmpiricalMeasure", "moments", "PairStats", "pair_inverse_square", "knn_entropy"]
 
 _PAIR_CUTOFF = 1e-14
+_KNN_K = 4  # the neighbor rank of knn_entropy
 
 
 @dataclass
@@ -97,8 +98,8 @@ def pair_inverse_square(mu: EmpiricalMeasure) -> float:
     return stats.total / stats.kept
 
 
-def knn_entropy(points, k: int = 4) -> float:
-    """k-nearest-neighbor estimate of int f log f (note: minus the
+def knn_entropy(points) -> float:
+    """4th-nearest-neighbor estimate of int f log f (note: minus the
     differential entropy) from an IID cloud, Euclidean metric.
 
     Exact duplicate points (zero k-th neighbor distance) get a deterministic
@@ -111,6 +112,7 @@ def knn_entropy(points, k: int = 4) -> float:
         points = points.points
     x = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = x.shape
+    k = _KNN_K
     if n <= k:
         raise ConfigError(f"need more than k={k} points, got {n}")
     tree = cKDTree(x)

@@ -33,9 +33,10 @@ The per-sample fields are formed over blocks of 16,384 consecutive samples
 and written into one preallocated array per result, bit-identical to one
 whole-array batch (``k_family`` at 2^20 samples peaks at 99 MB under
 tracemalloc, 302 MB as one batch).  Entropy and Fisher use tensor-grid
-trapezoid quadrature on 3D models: one fine pass checks the mass and
-integrates H and I together, one half-resolution pass gives their error
-scale, and tensor powers delegate exactly to their base.
+trapezoid quadrature on 3D models, on a fixed grid of 129^3 points over the
+box that holds all but 1e-9 of the mass: one fine pass checks the mass and
+integrates H and I together, one 65^3 pass gives their error scale, and
+tensor powers delegate exactly to their base.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ _EPS_FLOOR = 1e-30
 # (rows,) float arrays, 0.4 and 0.13 MB each, small next to the per-sample
 # results; every field is computed row by row, so the size changes no bit
 _MC_BLOCK = 2**14
+_GRID_POINTS = 129  # per axis of the H, I grid; odd, so the 65-point grid shares endpoints
+_GRID_TAIL = 1e-9  # the mass outside the H, I grid's box
+_K_ANCHOR = 1.0 / 3.0  # the beta of KFamilyResult.residual, always in a k_family
 
 
 @dataclass(frozen=True)
@@ -99,13 +103,13 @@ class FunctionalEstimate:
     n_rejected: int = 0
 
 
-def grid_functionals(model: DensityModel, which=("H", "I"), n_points: int = 129,
-                     tail_mass: float = 1e-9) -> dict:
-    """{name: estimate} for H and/or I by trapezoid quadrature, from one fine
-    pass that also checks the mass and one half-resolution pass for the error;
-    tensor powers delegate exactly to their base."""
+def grid_functionals(model: DensityModel, which=("H", "I")) -> dict:
+    """{name: estimate} for H and/or I by trapezoid quadrature on the fixed
+    129-point-per-axis grid over the box that holds all but 1e-9 of the mass,
+    from one fine pass that also checks the mass and one 65-point pass for
+    the error; tensor powers delegate exactly to their base."""
     if isinstance(model, TensorPower):
-        return grid_functionals(model.base, which, n_points, tail_mass)
+        return grid_functionals(model.base, which)
     which = tuple(which)
     bad = [w for w in which if w not in ("H", "I")]
     if bad:
@@ -113,10 +117,7 @@ def grid_functionals(model: DensityModel, which=("H", "I"), n_points: int = 129,
     if model.dim > 3:
         raise CapabilityError(
             "grid quadrature supports dim <= 3; use a tensor power of a 3D model")
-    n = int(n_points)
-    if n % 2 == 0:
-        n += 1  # odd point count so the half-resolution subgrid shares endpoints
-    lo, hi = model.bounding_box(tail_mass)
+    lo, hi = model.bounding_box(_GRID_TAIL)
 
     def rows(X):  # mass, then the integrands of `which`
         logf = model.log_density(X)
@@ -130,28 +131,26 @@ def grid_functionals(model: DensityModel, which=("H", "I"), n_points: int = 129,
                 out.append(f * np.sum(g * g, axis=1))
         return out
 
-    mass, *vals = grid_integrate(rows, lo, hi, n)
+    mass, *vals = grid_integrate(rows, lo, hi, _GRID_POINTS)
     if not abs(mass - 1.0) <= 1e-6:  # a NaN mass fails too
         raise CoverageError(
             f"quadrature mass {mass:.8f} off from 1; widen the grid or add points")
-    coarse = grid_integrate(rows, lo, hi, n // 2 + 1)[1:]
+    coarse = grid_integrate(rows, lo, hi, _GRID_POINTS // 2 + 1)[1:]
     out = {}
     for name, val, val_coarse in zip(which, vals, coarse):
-        err = abs(val - val_coarse) + 2.0 * tail_mass * max(1.0, abs(val))
-        out[name] = FunctionalEstimate(val, err, "grid", n**model.dim)
+        err = abs(val - val_coarse) + 2.0 * _GRID_TAIL * max(1.0, abs(val))
+        out[name] = FunctionalEstimate(val, err, "grid", _GRID_POINTS**model.dim)
     return out
 
 
-def entropy(model: DensityModel, n_points: int = 129,
-            tail_mass: float = 1e-9) -> FunctionalEstimate:
+def entropy(model: DensityModel) -> FunctionalEstimate:
     """H(F) = (1/n) int F log F by trapezoid quadrature (exact tensor delegation)."""
-    return grid_functionals(model, ("H",), n_points, tail_mass)["H"]
+    return grid_functionals(model, ("H",))["H"]
 
 
-def fisher_information(model: DensityModel, n_points: int = 129,
-                       tail_mass: float = 1e-9) -> FunctionalEstimate:
+def fisher_information(model: DensityModel) -> FunctionalEstimate:
     """I(F) = (1/n) int |grad F|^2 / F = (1/n) int F |grad log F|^2."""
-    return grid_functionals(model, ("I",), n_points, tail_mass)["I"]
+    return grid_functionals(model, ("I",))["I"]
 
 
 def _mc_estimate(per_sample, n_rejected: int) -> FunctionalEstimate:
@@ -295,9 +294,9 @@ class KFamilyResult:
     n_rejected: int
     _samples: dict = field(repr=False, default_factory=dict)
 
-    def residual(self, beta: float, anchor: float = 1.0 / 3.0) -> FunctionalEstimate:
-        arr = (self._samples[beta] - self._samples[anchor]
-               - (beta - anchor) ** 2 * self._samples["J"])
+    def residual(self, beta: float) -> FunctionalEstimate:
+        arr = (self._samples[beta] - self._samples[_K_ANCHOR]
+               - (beta - _K_ANCHOR) ** 2 * self._samples["J"])
         return _mc_estimate(arr, self.n_rejected)
 
     def difference(self, a, b) -> FunctionalEstimate:
@@ -310,8 +309,8 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
     betas = list(betas)
     for beta in betas:
         _check_beta(beta)
-    if betas and 1.0 / 3.0 not in betas:  # the anchor of residual()
-        betas.append(1.0 / 3.0)
+    if betas and _K_ANCHOR not in betas:  # the anchor of residual()
+        betas.append(_K_ANCHOR)
     arrays, nr = _pair_fields(
         model, pot, _seeded_sample(model, mc),
         lambda b: [b.k_samples(beta) for beta in betas] + [b.j_samples(), b.d_samples()])

@@ -60,6 +60,7 @@ __all__ = [
 CHI_PLATEAU = 0.99
 _BLEND_LO = 0.98
 _BLEND_W = 0.02
+_ETA_MIN, _ETA_MAX = 1e-4, 1.0  # the clip of default_eta
 
 
 def chi(r):
@@ -82,10 +83,9 @@ def chi_eta(eta: float, r):
     return eta * chi(np.asarray(r, dtype=float) / eta)
 
 
-def default_eta(n_particles: int, c: float = 1.0, kappa: float = 0.25,
-                lo: float = 1e-4, hi: float = 1.0) -> float:
-    """Default cutoff schedule eta_N = clip(c * N**-kappa, lo, hi)."""
-    return float(min(max(c * n_particles ** (-kappa), lo), hi))
+def default_eta(n_particles: int, c: float = 1.0, kappa: float = 0.25) -> float:
+    """Default cutoff schedule eta_N = clip(c * N**-kappa, 1e-4, 1)."""
+    return float(min(max(c * n_particles ** (-kappa), _ETA_MIN), _ETA_MAX))
 
 
 @dataclass(frozen=True)
@@ -172,17 +172,14 @@ def alpha_bare(gamma: float, r):
     return out if r.ndim else out[0]
 
 
-def ratio_condition_margin(spec: PotentialSpec, r=None) -> float:
+def ratio_condition_margin(spec: PotentialSpec) -> float:
     """Max over a dense grid of r|alpha'|/alpha - (-gamma/theta); <= 0 is good.
 
     The ratio equals -gamma * u * chi'(u) / chi(u) at u = r/eta; it is exactly
-    -gamma throughout the power-law range u >= 1, which is included in the
-    default grid.
+    -gamma throughout the power-law range u >= 1, which the grid of u
+    (4001 points on [1e-6, 2], plus 1, 10 and 1000) reaches.
     """
-    if r is None:
-        u = np.concatenate([np.linspace(1e-6, 2.0, 4001), [1.0, 10.0, 1e3]])
-    else:
-        u = np.asarray(r, dtype=float) / spec.eta
+    u = np.concatenate([np.linspace(1e-6, 2.0, 4001), [1.0, 10.0, 1e3]])
     ratio = -spec.gamma * u * chi_prime(u) / chi(u)
     bound = -spec.gamma / spec.theta
     return float(np.max(ratio) - bound)

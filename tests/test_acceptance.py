@@ -57,12 +57,11 @@ def test_momentum_conserved_every_step():
                 cfg = SimConfig(n_particles=n, gamma=gamma, dt=1e-4,
                                 t_end=0.1, seed=17)
                 state = init_iid(cfg)
-                pot = cfg.potential()
                 vscale = float(np.max(np.abs(state.v)))
                 p_prev, _ = conserved_quantities(state)
                 worst = 0.0
                 for _ in range(1000):
-                    state = step(state, cfg, pot)
+                    state = step(state, cfg)
                     p, _ = conserved_quantities(state)
                     worst = max(worst, float(np.max(np.abs(p - p_prev))))
                     p_prev = p

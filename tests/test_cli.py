@@ -314,6 +314,13 @@ def test_plotdata_unknown_key_exits_2(run_dir, capsys):
     assert "nope" in err and "energy" in err  # lists available keys
 
 
+def test_plotdata_on_a_run_without_rows_exits_2(run_dir, capsys):
+    (run_dir / "diagnostics.jsonl").write_text("")
+    capsys.readouterr()
+    assert cli("plotdata", "--run", run_dir) == 2
+    assert "no diagnostics rows" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -448,6 +455,15 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     assert "values" in capsys.readouterr().err
 
 
+def test_sweep_rejects_empty_values_before_writing(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "s"
+    assert cli("sweep", "--config", cfg, "--axis", "dt", "--values", ",",
+               "--out", out) == 2
+    assert "--values is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify and entry points
 
@@ -456,6 +472,17 @@ def test_verify_all_checks_pass(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
     assert "5/5 checks passed" in out
+
+
+def test_verify_reports_a_raising_check_as_a_failure(monkeypatch, capsys):
+    def broken(model):
+        raise RuntimeError("no grid")
+
+    monkeypatch.setattr(cli_module, "entropy", broken)
+    assert cli("verify") == 1
+    out = capsys.readouterr().out
+    assert "FAIL  closed_forms(H, I on standard Gaussian)  [RuntimeError: no grid]" in out
+    assert out.count("PASS") == 4 and "4/5 checks passed" in out
 
 
 def test_simulate_and_sweep_never_import_scipy(tmp_path):
@@ -486,8 +513,7 @@ assert "scipy" in sys.modules, "simulate --entropy"
 
 _GRID_BITS = """
 import sys
-from landausim import cli
-from landausim.densities import grid_integrate
+from landausim import cli, densities
 from landausim.reference import resolve_preset
 assert cli.main(["functionals", "--preset", "bimodal(3)", "--which", "H,I"]) == 0
 m = resolve_preset("bimodal(3)")
@@ -498,7 +524,10 @@ def rows(X):
     f = m.density(X)
     return [f, f * logf, f * (m.log_grad(X) ** 2).sum(axis=1)]
 
-sums = [grid_integrate(rows, lo, hi, 65, chunk=c) for c in (50, 65 * 65, 2**20)]
+sums = []
+for chunk in (50, 65 * 65, 2**20):
+    densities._GRID_CHUNK = chunk
+    sums.append(densities.grid_integrate(rows, lo, hi, 65))
 assert sums[0] == sums[1] == sums[2], sums
 print(repr(sums[0]))
 """

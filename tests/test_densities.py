@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import landausim.densities as densities
 from landausim.densities import (DensityModel, GaussianMixtureModel,
                                  GaussianModel, ScaledModel, ShiftedModel,
                                  TensorPower, check_log_grad_fd, check_mass,
@@ -273,61 +274,64 @@ def test_grid_integrate_gaussian_3d_matches_mass():
     assert val == pytest.approx(1.0, abs=2e-4)
 
 
-def test_grid_integrate_chunking_invariance():
+def test_grid_integrate_chunking_invariance(monkeypatch):
     m = GaussianModel(np.zeros(2), 1.0)
     lo, hi = m.bounding_box(1e-8)
-    a = grid_integrate(m.density, lo, hi, 41, chunk=2**20)
-    b = grid_integrate(m.density, lo, hi, 41, chunk=97)
+    monkeypatch.setattr(densities, "_GRID_CHUNK", 2**20)
+    a = grid_integrate(m.density, lo, hi, 41)
+    monkeypatch.setattr(densities, "_GRID_CHUNK", 97)
+    b = grid_integrate(m.density, lo, hi, 41)
     assert a == b
 
 
-def test_grid_integrate_chunking_invariance_3d():
-    # slabs of the leading axis hold 13 * 9 points: a chunk below one slab
+def test_grid_integrate_chunking_invariance_3d(monkeypatch):
+    # slabs of the leading axis hold 11 * 11 points: a chunk below one slab
     # and one spanning several both reproduce the one-chunk sum bit for bit
     m = GaussianModel([0.2, -0.1, 0.3], [1.5, 0.7, 1.0])
     lo, hi = m.bounding_box(1e-8)
-    n_points = [11, 13, 9]
-    whole = grid_integrate(m.density, lo, hi, n_points)
-    for chunk in (50, 4 * 13 * 9 + 7, 2**20):
-        assert grid_integrate(m.density, lo, hi, n_points, chunk=chunk) == whole
-    axes = [np.linspace(lo[d], hi[d], n) for d, n in enumerate(n_points)]
+    n = 11
+    whole = grid_integrate(m.density, lo, hi, n)
+    for chunk in (50, 4 * 11 * 11 + 7, 2**20):
+        monkeypatch.setattr(densities, "_GRID_CHUNK", chunk)
+        assert grid_integrate(m.density, lo, hi, n) == whole
+    axes = [np.linspace(lo[d], hi[d], n) for d in range(3)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    wts = [np.full(n, ax[1] - ax[0]) for ax, n in zip(axes, n_points)]
+    wts = [np.full(n, ax[1] - ax[0]) for ax in axes]
     for w in wts:
         w[[0, -1]] *= 0.5
     w = (wts[0][:, None, None] * wts[1][None, :, None] * wts[2][None, None, :]).ravel()
     assert whole == pytest.approx(float(np.dot(w, m.density(pts))), rel=1e-12)
 
 
-def test_grid_integrate_1d_chunks():
+def test_grid_integrate_1d_chunks(monkeypatch):
     # one-dimensional grids have an empty trailing block; chunks are points
     def fn(p):
         return np.exp(-p[:, 0] ** 2)
 
     whole = grid_integrate(fn, [-2.0], [3.0], 101)
     for chunk in (1, 7, 100):
-        assert grid_integrate(fn, [-2.0], [3.0], 101, chunk=chunk) == whole
+        monkeypatch.setattr(densities, "_GRID_CHUNK", chunk)
+        assert grid_integrate(fn, [-2.0], [3.0], 101) == whole
     x = np.linspace(-2.0, 3.0, 101)
     assert whole == pytest.approx(np.trapezoid(np.exp(-x ** 2), x), rel=1e-12)
 
 
 @pytest.mark.parametrize("chunk", [2**20, 50])
-def test_grid_integrate_k_rows_equal_one_row_calls(chunk):
+def test_grid_integrate_k_rows_equal_one_row_calls(chunk, monkeypatch):
     # each row of a k-row integrand is summed slab by slab exactly as a
-    # one-row call sums it; 50 points is below one 13 x 9 slab
+    # one-row call sums it; 50 points is below one 11 x 11 slab
+    monkeypatch.setattr(densities, "_GRID_CHUNK", chunk)
     m = GaussianMixtureModel([0.3, 0.7], [[0.5, 0.0, 0.1], [-0.4, 0.2, 0.0]],
                              [[1.0, 0.6, 0.9], [0.8, 1.2, 0.7]])
     lo, hi = m.bounding_box(1e-8)
-    n_points = [11, 13, 9]
+    n = 11
     one_row = [m.density, lambda X: m.log_density(X) * m.density(X),
                lambda X: np.sum(m.log_grad(X) ** 2, axis=1)]
-    expect = [grid_integrate(fn, lo, hi, n_points, chunk=chunk) for fn in one_row]
+    expect = [grid_integrate(fn, lo, hi, n) for fn in one_row]
     assert all(isinstance(v, float) for v in expect)
-    got = grid_integrate(lambda X: [fn(X) for fn in one_row], lo, hi, n_points,
-                         chunk=chunk)
+    got = grid_integrate(lambda X: [fn(X) for fn in one_row], lo, hi, n)
     assert got == expect
-    stacked = grid_integrate(lambda X: np.stack([fn(X) for fn in one_row]), lo, hi,
-                             n_points, chunk=chunk)
+    stacked = grid_integrate(lambda X: np.stack([fn(X) for fn in one_row]), lo, hi, n)
     assert stacked == expect
 
 

@@ -7,9 +7,7 @@ import pytest
 import landausim.diagnostics as diagnostics
 from landausim.diagnostics import (AffineFn, BumpWeakIntegrand, ConstantFn,
                                    GaussianBumpFn, NonAlignedTriple, QuadraticFn, RadialBumpFn,
-                                   TestFunctionDictionary as PhiDictionary,
-                                   ball_mass,
-                                   bl_distance, bump_h, default_dictionary,
+                                   ball_mass, bl_distance, bump_h, default_dictionary,
                                    find_nonaligned_triple, holder_seminorm,
                                    increment_scaling_exponent,
                                    is_delta_nonaligned, iota,
@@ -86,11 +84,6 @@ def test_default_dictionary_structure():
     for phi in dic.functions:
         assert phi.c2_norm_bound() <= 1.0
         assert phi.c2_norm_bound() > 0.5  # amplitudes saturate the budget
-
-
-def test_dictionary_rejects_too_small_lattice():
-    with pytest.raises(ConfigError):
-        PhiDictionary(n_max=64, radius=0.5)
 
 
 def test_dictionary_integrals_target_forms(rng):
@@ -242,13 +235,6 @@ def test_weak_residual_isotropic_quadratic_is_energy(residual_traj):
 def test_weak_residual_bump_is_small(residual_traj):
     phi = GaussianBumpFn([0.0, 0.0, 0.0], 1.0, 0.5)
     assert abs(weak_form_residual(residual_traj, phi, 0.1)) < 0.05
-
-
-def test_weak_residual_gamma_override(residual_traj):
-    phi = GaussianBumpFn([0.0, 0.0, 0.0], 1.0, 0.5)
-    a = weak_form_residual(residual_traj, phi, 0.1)
-    b = weak_form_residual(residual_traj, phi, 0.1, gamma=-2.0)
-    assert a == b
 
 
 def test_weak_residual_does_not_depend_on_pair_block(residual_traj, monkeypatch):

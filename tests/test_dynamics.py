@@ -65,7 +65,7 @@ def test_eta_default_schedule():
     cfg = _cfg(eta=None, n_particles=256)
     assert cfg.eta_effective == pytest.approx(256 ** -0.25, rel=1e-15)
     assert _cfg(eta=0.37).eta_effective == 0.37
-    pot = cfg.potential()
+    pot = cfg.potential
     assert pot.gamma == cfg.gamma and pot.eta == cfg.eta_effective
 
 
@@ -112,8 +112,8 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
     np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), ju)
     expect_lo = 0
     for lo, bi, bj, z, r2 in blocks:
-        np.testing.assert_array_equal(z, v[bi] - v[bj])
-        np.testing.assert_allclose(r2, np.sum(z * z, axis=1), rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(z.T, v[bi] - v[bj])
+        np.testing.assert_allclose(r2, np.sum(z * z, axis=0), rtol=1e-15, atol=0)
         assert 0 < bi.size <= cap
         assert lo == expect_lo  # rank offsets are contiguous
         assert NoiseKey(0, 0, int(bi[0]), int(bj[0])).row_index(n) == lo
@@ -127,8 +127,13 @@ def test_walk_r2_has_the_bits_of_the_row_major_einsum(n):
     v = np.random.default_rng(n).normal(size=(n, 3)) * np.array([1.0, 1e-3, 30.0])
     for _, iu, ju, z, r2, _ in dynamics._PairWalk(n).blocks(v):
         rows = v[iu] - v[ju]
-        np.testing.assert_array_equal(z, rows)
+        np.testing.assert_array_equal(z.T, rows)
         np.testing.assert_array_equal(r2, np.einsum("pc,pc->p", rows, rows))
+
+
+def test_walk_rejects_a_cloud_of_another_size():
+    with pytest.raises(ValueError, match="a walk over 5 points got 6"):
+        next(dynamics._PairWalk(5).blocks(np.zeros((6, 3))))
 
 
 def test_pair_noise_shape_determinism_and_scale():
@@ -197,12 +202,11 @@ def test_reused_walk_gives_the_bits_of_fresh_walks(n, block, monkeypatch):
     if block is not None:  # 50 points in blocks of one row
         monkeypatch.setattr(dynamics, "_PAIR_BLOCK", block)
     cfg = _cfg(n_particles=n, gamma=-3.0, eta=None, seed=4)
-    pot = cfg.potential()
     walk = dynamics._PairWalk(n)
     fresh = shared = init_iid(cfg)
     for _ in range(4):
-        fresh = step(fresh, cfg, pot, consumers=[a := PairStats(0.3)])
-        shared = step(shared, cfg, pot, consumers=[b := PairStats(0.3)], walk=walk)
+        fresh = step(fresh, cfg, consumers=[a := PairStats(0.3)])
+        shared = step(shared, cfg, consumers=[b := PairStats(0.3)], walk=walk)
         np.testing.assert_array_equal(shared.v, fresh.v)
         assert b.row() == a.row()
         dynamics._feed_pairs(init_iid(cfg).v, [PairStats(0.3)], walk)  # as run's final pass
@@ -248,10 +252,9 @@ def test_momentum_conserved_each_step(gamma):
     cfg = _cfg(n_particles=64, gamma=gamma, dt=1e-3, t_end=0.2, eta=0.2,
                seed=11)
     state = init_iid(cfg)
-    pot = cfg.potential()
     p0, _ = conserved_quantities(state)
     for _ in range(50):
-        state = step(state, cfg, pot)
+        state = step(state, cfg)
         p, _ = conserved_quantities(state)
         bound = 1e-12 * state.n * np.max(np.abs(state.v))
         assert np.max(np.abs(p - p0)) <= bound
@@ -261,10 +264,20 @@ def test_energy_rescale_mode_is_exact():
     cfg = _cfg(n_particles=32, energy_mode="rescale", t_end=0.2, dt=2e-3,
                seed=7)
     state = init_iid(cfg)
-    pot = cfg.potential()
     _, e0 = conserved_quantities(state)
     for _ in range(cfg.n_steps):
-        state = step(state, cfg, pot, e_target=e0)
+        state = step(state, cfg, e_target=e0)
+        _, e = conserved_quantities(state)
+        assert abs(e - e0) <= 1e-12 * e0
+
+
+def test_rescale_step_keeps_its_starting_energy_by_default():
+    # without e_target each step rescales to the energy of the state it starts from
+    cfg = _cfg(n_particles=32, energy_mode="rescale", dt=2e-3, seed=7)
+    state = init_iid(cfg)
+    for _ in range(20):
+        _, e0 = conserved_quantities(state)
+        state = step(state, cfg)
         _, e = conserved_quantities(state)
         assert abs(e - e0) <= 1e-12 * e0
 
@@ -276,10 +289,9 @@ def test_energy_martingale_raw_scheme():
     for seed in range(24):
         cfg = _cfg(n_particles=64, dt=1e-3, t_end=0.1, seed=seed, eta=0.2)
         state = init_iid(cfg)
-        pot = cfg.potential()
         _, e0 = conserved_quantities(state)
         for _ in range(cfg.n_steps):
-            state = step(state, cfg, pot)
+            state = step(state, cfg)
         _, e1 = conserved_quantities(state)
         drifts.append((e1 - e0) / e0)
     drifts = np.array(drifts)
@@ -293,7 +305,6 @@ def test_exchangeability_under_relabeling():
     # antisymmetry sign for flipped pairs) permutes the output state
     cfg = _cfg(n_particles=12, dt=1e-3, seed=5)
     state = init_iid(cfg)
-    pot = cfg.potential()
     n = state.n
     noise = pair_noise(cfg.seed, 0, n, cfg.dt)
 
@@ -308,8 +319,8 @@ def test_exchangeability_under_relabeling():
             dst = NoiseKey(0, 0, a, b).row_index(n)
             remapped[dst] = sign * noise[src]
 
-    out = step(state, cfg, pot, noise=noise)
-    out_perm = step(ParticleState(state.v[p].copy()), cfg, pot, noise=remapped)
+    out = step(state, cfg, noise=noise)
+    out_perm = step(ParticleState(state.v[p].copy()), cfg, noise=remapped)
     scale = np.max(np.abs(out.v))
     assert np.max(np.abs(out_perm.v - out.v[p])) <= 1e-12 * scale
 
@@ -324,7 +335,7 @@ def test_step_matches_reference_pair_kernels(v):
     v = np.array(v)
     n = v.shape[0]
     cfg = _cfg(n_particles=n, gamma=-2.5, dt=1e-2, eta=0.2)
-    pot = cfg.potential()
+    pot = cfg.potential
     noise = np.random.default_rng(n).normal(size=(n * (n - 1) // 2, 3)) * 0.1
     expect = v.copy()
     iu, ju = np.triu_indices(n, k=1)
@@ -334,7 +345,7 @@ def test_step_matches_reference_pair_kernels(v):
         term += math.sqrt(2.0 / (n - 1)) * diffusion_sigmaN(pot, z) @ db
         expect[i] += term
         expect[j] -= term
-    out = step(ParticleState(v.copy()), cfg, pot, noise=noise)
+    out = step(ParticleState(v.copy()), cfg, noise=noise)
     np.testing.assert_allclose(out.v, expect, rtol=1e-14, atol=0)
 
 
@@ -343,7 +354,7 @@ def test_multi_block_step_matches_reference_pair_kernels():
     # up to the pair kernels applied pair by pair
     n = 400
     cfg = _cfg(n_particles=n, gamma=-3.0, dt=1e-3, eta=None, seed=8)
-    pot = cfg.potential()
+    pot = cfg.potential
     v = init_iid(cfg).v
     noise = pair_noise(cfg.seed, 0, n, cfg.dt)
     iu, ju = np.triu_indices(n, k=1)
@@ -354,7 +365,7 @@ def test_multi_block_step_matches_reference_pair_kernels():
     expect = v.copy()
     np.add.at(expect, iu, term)
     np.add.at(expect, ju, -term)
-    out = step(ParticleState(v.copy()), cfg, pot, noise=noise)
+    out = step(ParticleState(v.copy()), cfg, noise=noise)
     assert len(dynamics._PairWalk(n).offsets) == 3
     np.testing.assert_allclose(out.v, expect, rtol=1e-13, atol=0)
 
@@ -362,10 +373,9 @@ def test_multi_block_step_matches_reference_pair_kernels():
 def test_two_particles_conserve_center_of_mass():
     cfg = _cfg(n_particles=2, dt=1e-3, t_end=0.1, seed=1)
     state = ParticleState(np.array([[1.0, 0.0, 0.0], [-1.0, 0.5, 0.0]]))
-    pot = cfg.potential()
     com0 = state.v.sum(axis=0)
     for _ in range(100):
-        state = step(state, cfg, pot)
+        state = step(state, cfg)
     np.testing.assert_allclose(state.v.sum(axis=0), com0, atol=1e-13)
 
 
@@ -374,7 +384,7 @@ def test_coincident_pair_is_a_fixed_point():
     # cloud never moves
     cfg = _cfg(n_particles=4, dt=1e-2, seed=0)
     v = np.tile([0.3, -0.2, 0.9], (4, 1))
-    out = step(ParticleState(v.copy()), cfg, cfg.potential())
+    out = step(ParticleState(v.copy()), cfg)
     np.testing.assert_array_equal(out.v, v)
 
 

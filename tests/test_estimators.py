@@ -156,4 +156,4 @@ def test_knn_entropy_duplicates_warn_and_stay_finite(rng):
 
 def test_knn_entropy_needs_enough_points():
     with pytest.raises(ConfigError):
-        knn_entropy(np.zeros((4, 3)), k=4)
+        knn_entropy(np.zeros((4, 3)))

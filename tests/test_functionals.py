@@ -505,7 +505,7 @@ def test_k_family_memory_peak_is_bounded(aniso_pair, pot_gm2):
 def test_grid_functionals_memory_peak_is_one_chunk(aniso):
     # 2^20-point chunks of the 129^3 grid peaked at 143 MB; chunks of whole
     # slabs up to 2^16 points peak at 8.6 MB
-    peak = _traced_peak(lambda: grid_functionals(aniso, ("H", "I"), 129))
+    peak = _traced_peak(lambda: grid_functionals(aniso, ("H", "I")))
     assert peak < 12e6, peak
 
 
