@@ -6,12 +6,11 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, BlowupError, CoverageError, CapabilityError,
                      DegenerateCloudError, StrideError)
 from .potentials import PotentialSpec, alpha_reg, ratio_condition_margin, default_eta
-from .dynamics import (SimConfig, ParticleState, NoiseKey, Trajectory, init_iid,
-                       step, run, conserved_quantities)
+from .dynamics import (SimConfig, ParticleState, Trajectory, init_iid, step, run,
+                       conserved_quantities)
 from .densities import GaussianModel, GaussianMixtureModel, TensorPower, ScaledModel, ShiftedModel
 from .functionals import (MCSpec, FunctionalEstimate, entropy, fisher_information,
-                          entropy_production_D, dissipation_K, J_functional, k_family,
-                          ibp_identity_check, tensor_consistency_D)
+                          entropy_production_D, J_functional, k_family, tensor_consistency_D)
 from .estimators import EmpiricalMeasure, moments, pair_inverse_square, knn_entropy
 from .reference import resolve_preset, maxwellian, aniso_gauss, bimodal, maxwell_molecule_moment_ode
 from .diagnostics import (TestFunctionDictionary, default_dictionary, bl_distance,
@@ -24,12 +23,11 @@ __all__ = [
     "ConfigError", "BlowupError", "CoverageError", "CapabilityError",
     "DegenerateCloudError", "StrideError",
     "PotentialSpec", "alpha_reg", "ratio_condition_margin", "default_eta",
-    "SimConfig", "ParticleState", "NoiseKey", "Trajectory", "init_iid", "step", "run",
+    "SimConfig", "ParticleState", "Trajectory", "init_iid", "step", "run",
     "conserved_quantities",
     "GaussianModel", "GaussianMixtureModel", "TensorPower", "ScaledModel", "ShiftedModel",
     "MCSpec", "FunctionalEstimate", "entropy", "fisher_information",
-    "entropy_production_D", "dissipation_K", "J_functional", "k_family",
-    "ibp_identity_check", "tensor_consistency_D",
+    "entropy_production_D", "J_functional", "k_family", "tensor_consistency_D",
     "EmpiricalMeasure", "moments", "pair_inverse_square", "knn_entropy",
     "resolve_preset", "maxwellian", "aniso_gauss", "bimodal", "maxwell_molecule_moment_ode",
     "TestFunctionDictionary", "default_dictionary", "bl_distance",

@@ -33,10 +33,8 @@ from .diagnostics import (BumpWeakIntegrand, GaussianBumpFn, bl_distance,
 from .dynamics import SimConfig, run
 from .errors import BlowupError, ConfigError, CoverageError
 from .estimators import EmpiricalMeasure, PairStats, knn_entropy
-# J_functional is not called here; cli.J_functional is a name perfbench/tracer.py wraps
 from .functionals import (MCSpec, _check_beta, entropy, entropy_production_D,
-                          fisher_information, grid_functionals, J_functional,
-                          k_family)  # noqa: F401
+                          fisher_information, grid_functionals, k_family)
 from .potentials import PotentialSpec, default_eta
 from .reference import matched_maxwellian, maxwellian_entropy, resolve_preset
 from .runio import SNAPSHOT_FORMATS, load_config, load_trajectory, save_trajectory

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, CoverageError
+from .errors import CapabilityError
 
 __all__ = [
     "GaussianModel",
@@ -288,7 +288,6 @@ class ShiftedModel(DensityModel):
 
 _GRID_CHUNK = 2**16  # points per evaluation chunk of grid_integrate
 _FD_STEP = 1e-6  # the central-difference step of check_log_grad_fd
-_MASS_TOL = 1e-6  # how far from 1 check_mass lets the mass be
 
 
 def grid_integrate(fn, lo, hi, n_points):
@@ -331,15 +330,6 @@ def grid_integrate(fn, lo, hi, n_points):
             for s in np.add.reduce(w * row.reshape(w.shape), axis=1).tolist():
                 acc[i] += s
     return acc[0] if single else acc
-
-
-def check_mass(model: DensityModel) -> float:
-    """Quadrature mass certificate on 96 points per axis (24 above 3D)."""
-    lo, hi = model.bounding_box(1e-8)
-    mass = grid_integrate(model.density, lo, hi, 96 if model.dim <= 3 else 24)
-    if not abs(mass - 1.0) <= _MASS_TOL:  # a NaN mass fails too
-        raise CoverageError(f"grid mass {mass!r} deviates from 1 beyond {_MASS_TOL}")
-    return mass
 
 
 def check_log_grad_fd(model: DensityModel, X) -> float:

@@ -279,17 +279,13 @@ def bl_distance(a, b) -> float:
 _HOLDER_EXPONENT = 0.125  # of holder_seminorm
 
 
-def holder_seminorm(times, measures=None) -> float:
+def holder_seminorm(times, measures) -> float:
     """sup_{s<t} d(mu_s, mu_t)/|t-s|^(1/8) along a measure-valued path, d
     being `bl_distance`.
 
-    Accepts a Trajectory (snapshots become empirical measures) or parallel
-    lists of times and measures.
+    times and measures are parallel lists; for a Trajectory pass
+    traj.times and [EmpiricalMeasure(s.v) for s in traj.snapshots].
     """
-    if isinstance(times, Trajectory):
-        traj = times
-        measures = [EmpiricalMeasure(s.v) for s in traj.snapshots]
-        times = traj.times
     times = np.asarray(times, dtype=float)
     if len(times) != len(measures) or len(times) < 2:
         raise ConfigError("need matching times/measures with at least two entries")

@@ -14,15 +14,14 @@ dynamics; the Euler-Maruyama step leaves an O(dt) energy error that
 energy_mode="rescale" removes by an affine rescaling about the mean.
 
 Noise is counter-based: step s of a run with seed q draws its N(N-1)/2 pair
-increments from Philox keyed by (q, "pair", s), in upper-triangle rank order,
-so the increment of NoiseKey(q, s, i, j) is a pure function of the key and
-trajectories are reproducible bit for bit.  The step (and every other pair
-sweep) walks the pairs in row blocks of that rank order and draws each
-block's increments from the stream as it reaches the block: the consecutive
-draws are exactly the rows of `pair_noise`'s single draw, so
-`NoiseKey.increment` is the increment the step applies, and a step holds one
-block of noise, not all N(N-1)/2 rows.  The same walk feeds the pair
-observers of `run` on the states it records.
+increments from one Philox stream keyed by (q, "pair", s), in upper-triangle
+rank order, so a pair's increment is a pure function of the seed, the step
+and the pair, and trajectories are reproducible bit for bit.  The step (and
+every other pair sweep) walks the pairs in row blocks of that rank order and
+draws each block's increments from the stream as it reaches the block: the
+consecutive draws are exactly the rows of `pair_noise`'s single draw, and a
+step holds one block of noise, not all N(N-1)/2 rows.  The same walk feeds
+the pair observers of `run` on the states it records.
 
 A `_PairWalk` holds one block of every temporary of that pass: the pair
 indices, z and |z|^2, the noise and the kernel terms.  `run` builds one
@@ -54,11 +53,11 @@ import numpy as np
 
 from .errors import BlowupError, ConfigError, StrideError
 from .potentials import PotentialSpec, alpha_reg, default_eta
+from .reference import resolve_preset
 
 __all__ = [
     "SimConfig",
     "ParticleState",
-    "NoiseKey",
     "pair_noise",
     "init_iid",
     "step",
@@ -71,10 +70,10 @@ _DOMAIN_INIT = 0x696E6974   # "init"
 _DOMAIN_PAIR = 0x70616972   # "pair"
 
 _NUMBER = (int, float)
-# the type of every numeric SimConfig field; a bool is refused although it is an int
+# the type of every SimConfig field but energy_mode; a bool is refused although it is an int
 _FIELD_TYPES = {"n_particles": int, "gamma": _NUMBER, "dt": _NUMBER, "t_end": _NUMBER,
                 "seed": int, "eta": (*_NUMBER, type(None)), "eta_c": _NUMBER,
-                "eta_kappa": _NUMBER, "theta": _NUMBER, "snapshot_stride": int}
+                "eta_kappa": _NUMBER, "theta": _NUMBER, "snapshot_stride": int, "g0": str}
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class SimConfig:
         for name, kinds in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kinds):
-                kind = "an int" if kinds is int else "a number"
+                kind = {int: "an int", str: "a preset string"}.get(kinds, "a number")
                 raise ConfigError(f"{name} must be {kind}, got {value!r}")
         if self.n_particles < 2:
             raise ConfigError(f"n_particles must be an int >= 2, got {self.n_particles}")
@@ -113,6 +112,7 @@ class SimConfig:
         if self.snapshot_stride < 1:
             raise ConfigError(f"snapshot_stride must be an int >= 1, got {self.snapshot_stride}")
         self.potential  # builds, and so checks, the PotentialSpec once
+        self.g0_model  # resolves, and so checks, the g0 preset once
 
     @property
     def eta_effective(self) -> float:
@@ -124,6 +124,11 @@ class SimConfig:
     def potential(self) -> PotentialSpec:
         """PotentialSpec(gamma, eta_effective, theta), built once; the steps take it."""
         return PotentialSpec(self.gamma, self.eta_effective, self.theta)
+
+    @cached_property
+    def g0_model(self):
+        """The density model of the g0 preset, resolved once; init_iid samples it."""
+        return resolve_preset(self.g0)
 
     @property
     def n_steps(self) -> int:
@@ -171,29 +176,6 @@ def conserved_quantities(state: ParticleState):
 def _stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=(seed, domain, index))
     return np.random.Generator(np.random.Philox(seed=ss))
-
-
-@dataclass(frozen=True)
-class NoiseKey:
-    """Identifies the Brownian increment of pair (i, j), i < j, at one step."""
-
-    seed: int
-    step_index: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not 0 <= self.i < self.j:
-            raise ConfigError(f"NoiseKey needs 0 <= i < j, got ({self.i}, {self.j})")
-
-    def row_index(self, n: int) -> int:
-        """Rank of (i, j) in upper-triangle order for an n-particle system."""
-        i, j = self.i, self.j
-        return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-    def increment(self, n: int, dt: float) -> np.ndarray:
-        """The 3-vector sqrt(dt) * xi attached to this key."""
-        return pair_noise(self.seed, self.step_index, n, dt)[self.row_index(n)]
 
 
 _PAIR_BLOCK = 1 << 16
@@ -302,8 +284,7 @@ def pair_noise(seed: int, step_index: int, n: int, dt: float) -> np.ndarray:
 def init_iid(config: SimConfig, model=None) -> ParticleState:
     """IID draw of the initial cloud from the g0 preset (or an explicit model)."""
     if model is None:
-        from .reference import resolve_preset
-        model = resolve_preset(config.g0)
+        model = config.g0_model
     rng = _stream(config.seed, _DOMAIN_INIT)
     v = model.sample(rng, config.n_particles)
     if v.shape != (config.n_particles, 3):

@@ -27,8 +27,9 @@ bit and D, J, K are exactly 0 (the difference form leaves ~1e-31).  Then
   (beta = 0 is the log form int F sum_k w^4 u2_k^2)
 * quartic functional  J(F) = int F sum_k w^4 u1_k^4
 
-All three are evaluated by Monte Carlo over samples of F with the pair
-singularity guarded (samples with |z| < 1e-12 are rejected and counted).
+All three are evaluated by Monte Carlo over samples of F, with alpha the
+regularized alpha_eta of a PotentialSpec and the pair singularity guarded
+(samples with |z| < 1e-12 are rejected and counted).
 The per-sample fields are formed over blocks of 16,384 consecutive samples
 and written into one preallocated array per result, bit-identical to one
 whole-array batch (``k_family`` at 2^20 samples peaks at 99 MB under
@@ -49,7 +50,7 @@ import numpy as np
 
 from .densities import DensityModel, TensorPower, grid_integrate
 from .errors import CapabilityError, ConfigError, CoverageError
-from .potentials import PotentialSpec, alpha_bare, alpha_reg
+from .potentials import PotentialSpec, alpha_reg
 
 __all__ = [
     "MCSpec",
@@ -58,16 +59,13 @@ __all__ = [
     "entropy",
     "fisher_information",
     "entropy_production_D",
-    "dissipation_K",
     "J_functional",
     "k_family",
-    "ibp_identity_check",
     "beta_power_identity_probes",
     "tensor_consistency_D",
 ]
 
 _SINGULAR_CUTOFF = 1e-12
-_EPS_FLOOR = 1e-30
 # sample rows per pair batch: a block's fields are a few dozen (rows, 3) and
 # (rows,) float arrays, 0.4 and 0.13 MB each, small next to the per-sample
 # results; every field is computed row by row, so the size changes no bit
@@ -160,20 +158,13 @@ def _mc_estimate(per_sample, n_rejected: int) -> FunctionalEstimate:
                               per_sample.size, n_rejected)
 
 
-def _alpha_of(pot, r):
-    """Interaction strength for a PotentialSpec (regularized) or float gamma (bare)."""
-    if isinstance(pot, PotentialSpec):
-        return alpha_reg(pot, r)
-    return alpha_bare(float(pot), r)
-
-
 class _PairBatch:
     """Per-sample pair fields of a model on R^{3n}, n >= 2, at the samples X.
 
     u2 is built on first use, so D and J need no ``log_hess_quadform``.
     """
 
-    def __init__(self, model: DensityModel, pot, X):
+    def __init__(self, model: DensityModel, pot: PotentialSpec, X):
         if model.dim < 6 or model.dim % 3:
             raise CapabilityError("pair functionals need a model on R^{3n}, n >= 2")
         z = X[:, 0:3] - X[:, 3:6]
@@ -184,7 +175,7 @@ class _PairBatch:
             X, z, r = X[keep], z[keep], r[keep]
         self.n = X.shape[0]
         self.r = r
-        self.alpha = _alpha_of(pot, r)
+        self.alpha = alpha_reg(pot, r)
         self.w4 = self.alpha / (r * r)
 
         grad = model.log_grad(X)
@@ -216,10 +207,6 @@ class _PairBatch:
     def k_samples(self, beta: float):
         core = self.u2 + beta * self.u1sq
         return self.w4 * np.sum(core * core, axis=1)
-
-    def ibp_lhs_samples(self):
-        # int (dd F)(d F)^2 / F^2 = int F w^4 u1^2 (u1^2 + u2)
-        return self.w4 * np.sum(self.u1sq * (self.u1sq + self.u2), axis=1)
 
 
 def _seeded_sample(model: DensityModel, mc: MCSpec):
@@ -269,22 +256,15 @@ def J_functional(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
     return _mc_estimate(j, nr)
 
 
-def dissipation_K(model: DensityModel, beta: float, pot,
-                  mc: MCSpec) -> FunctionalEstimate:
-    """K_beta(F) = int F sum_k w^4 (u2_k + beta u1_k^2)^2 for beta in [0, 1]."""
-    _check_beta(beta)
-    (k,), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
-                            lambda b: (b.k_samples(beta),))
-    return _mc_estimate(k, nr)
-
-
 @dataclass
 class KFamilyResult:
     """Shared-sample estimates of the K_beta family plus J and D.
 
     residual(beta) returns the estimate of K_beta - K_{1/3} - (beta-1/3)^2 J,
     whose exact value is 0; its standard error is computed on the combined
-    per-sample array, which is the tight test statistic.
+    per-sample array, which is the tight test statistic.  Per sample it is
+    (2 beta - 2/3) w^4 sum_k (u1_k^2 u2_k + u1_k^4 / 3): (2 beta - 2/3) times
+    int (ddF)(dF)^2/F^2 - (2/3) J, zero by parts as the bt_k are divergence-free.
     """
 
     estimates: dict
@@ -320,30 +300,6 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
     return KFamilyResult(estimates=estimates, J=_mc_estimate(j, nr),
                          D=_mc_estimate(d, nr), n=j.size, n_rejected=nr,
                          _samples=samples)
-
-
-def ibp_identity_check(model: DensityModel, pot, mc: MCSpec) -> dict:
-    """Integration-by-parts identity int (ddF)(dF)^2/F^2 = (2/3) J.
-
-    Returns a dict with "residual" = |lhs - (2/3) J| / max(J, 1e-30) on
-    shared samples, the two sides, the per-sample residual mean, its
-    standard error, and the sample counts.  The residual estimates 0 for
-    any radial weight because the fields bt_k are divergence-free.
-    """
-    (lhs, j), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
-                                lambda b: (b.ibp_lhs_samples(), b.j_samples()))
-    rhs = (2.0 / 3.0) * j
-    resid = _mc_estimate(lhs - rhs, nr)
-    rhs_mean = float(np.mean(rhs))
-    return {
-        "residual": abs(resid.value) / max(1.5 * rhs_mean, _EPS_FLOOR),
-        "lhs": float(np.mean(lhs)),
-        "rhs": rhs_mean,
-        "residual_mean": resid.value,
-        "residual_se": resid.abs_error,
-        "n": lhs.size,
-        "n_rejected": nr,
-    }
 
 
 def beta_power_identity_probes(model: DensityModel, pot, beta: float, X) -> float:

@@ -48,7 +48,6 @@ __all__ = [
     "chi_prime",
     "chi_eta",
     "alpha_reg",
-    "alpha_bare",
     "ratio_condition_margin",
     "default_eta",
     "a_matrix",
@@ -163,13 +162,6 @@ def alpha_reg(spec: PotentialSpec, r, out=None):
         if np.any(near):
             out[near] = _power(chi_eta(spec.eta, rr[near]), spec.gamma)
     return out if np.ndim(r) else out[0]
-
-
-def alpha_bare(gamma: float, r):
-    """Bare power law r**gamma by `_power` (r = 0 maps to +inf for gamma < 0)."""
-    r = np.asarray(r, dtype=float)
-    out = _power(np.atleast_1d(r), gamma)
-    return out if r.ndim else out[0]
 
 
 def ratio_condition_margin(spec: PotentialSpec) -> float:

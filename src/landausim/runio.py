@@ -101,39 +101,53 @@ def save_trajectory(traj: Trajectory, out_dir, fmt: str = "csv"):
     return out
 
 
+def _parse_json(text: str, path, line: int = 0):
+    """json.loads(text) of line `line` of the file path (0: all of it); invalid
+    JSON is a ConfigError naming the file, line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {line or exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg}") from exc
+
+
+def _read_json(path, what: str):
+    """The JSON value in the file path; an unreadable file is a ConfigError."""
+    try:
+        return _parse_json(Path(path).read_text(), path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
 def load_config(path) -> SimConfig:
     """Parse a JSON config file; parse errors surface line and column."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return SimConfig.from_dict(raw)
 
 
 def load_trajectory(run_dir) -> Trajectory:
-    """Rebuild a Trajectory (snapshots + diagnostics) from a saved run."""
+    """Rebuild a Trajectory (snapshots + diagnostics) from a saved run.  An
+    unreadable file, invalid JSON or a manifest without a key it needs is a
+    ConfigError that names the file (and the line of a JSON error)."""
     run = Path(run_dir)
+    path = run / "manifest.json"
+    manifest = _read_json(path, f"saved run {run}")
+    missing = [key for key in ("config", "format", "snapshots", "status")
+               if not isinstance(manifest, dict) or key not in manifest]
+    if missing:
+        raise ConfigError(f"{path}: a run manifest without the keys {missing}")
+    traj = Trajectory(config=SimConfig.from_dict(manifest["config"]))
+    _, reader = _snapshot_io(manifest["format"])
     try:
-        with open(run / "manifest.json") as fh:
-            manifest = json.load(fh)
-        config = SimConfig.from_dict(manifest["config"])
-        _, reader = _snapshot_io(manifest["format"])
-        traj = Trajectory(config=config)
-        for name in manifest["snapshots"]:
-            traj.snapshots.append(reader(run / name))
+        traj.snapshots = [reader(run / name) for name in manifest["snapshots"]]
     except OSError as exc:
         raise ConfigError(f"cannot read saved run {run}: {exc}") from exc
     diag_path = run / "diagnostics.jsonl"
     if diag_path.exists():
-        with open(diag_path) as fh:
-            traj.diagnostics = [json.loads(line) for line in fh if line.strip()]
+        lines = enumerate(diag_path.read_text().splitlines(), 1)
+        traj.diagnostics = [_parse_json(text, diag_path, k) for k, text in lines if text.strip()]
     if manifest["status"] != "ok":
-        traj.error = json.loads(manifest["status"])
+        traj.error = _parse_json(manifest["status"], f"{path} status")
     return traj

@@ -122,6 +122,17 @@ def test_simulate_non_numeric_config_value_exits_2(tmp_path, capsys, key, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("g0", [3, "nosuch(1)"])
+def test_bad_g0_exits_2_before_any_output(tmp_path, capsys, g0):
+    cfg = write_config(tmp_path / "c.json", g0=g0)
+    for argv, out in ((["simulate", "--config", cfg], tmp_path / "r"),
+                      (["sweep", "--config", cfg, "--axis", "n_particles",
+                        "--values", "8,12"], tmp_path / "s")):
+        assert cli(*argv, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     for argv in (["simulate", "--config", missing, "--out", tmp_path / "r"],

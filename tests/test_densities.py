@@ -7,9 +7,9 @@ import pytest
 import landausim.densities as densities
 from landausim.densities import (DensityModel, GaussianMixtureModel,
                                  GaussianModel, ScaledModel, ShiftedModel,
-                                 TensorPower, check_log_grad_fd, check_mass,
-                                 grid_integrate)
+                                 TensorPower, check_log_grad_fd, grid_integrate)
 from landausim.errors import CapabilityError, CoverageError
+from landausim.functionals import entropy
 from landausim.reference import bimodal
 
 
@@ -77,8 +77,9 @@ def test_gaussian_sampling_moments(rng):
 
 
 def test_gaussian_mass_certificate():
-    check_mass(GaussianModel(np.zeros(3), 1.0))
-    check_mass(GaussianModel([5.0, 5.0, 5.0], [0.1, 1.0, 3.0]))
+    # every grid functional checks that its grid holds the mass to 1e-6
+    entropy(GaussianModel(np.zeros(3), 1.0))
+    entropy(GaussianModel([5.0, 5.0, 5.0], [0.1, 1.0, 3.0]))
 
 
 def test_gaussian_sample_is_the_whole_array_formula():
@@ -150,7 +151,7 @@ def test_mixture_sampling_and_mass(rng):
     X = mix.sample(rng, 100_000)
     assert abs(X[:, 0].mean()) < 0.03          # symmetric modes
     assert X[:, 0].std() > 1.5                 # bimodal spread along axis 0
-    check_mass(mix)
+    entropy(mix)  # checks the grid mass
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_scaled_model_is_a_density(rng):
                                rtol=1e-12)
     np.testing.assert_allclose(scaled.log_grad(X), target.log_grad(X),
                                rtol=1e-12)
-    check_mass(scaled)
+    entropy(scaled)  # checks the grid mass
     with pytest.raises(ValueError):
         ScaledModel(base, 0.0)
 
@@ -341,7 +342,7 @@ def test_check_mass_raises_on_nan_mass():
             return np.full(np.atleast_2d(X).shape[0], np.nan)
 
     with pytest.raises(CoverageError):
-        check_mass(NaNDensity(np.zeros(2), 1.0))
+        entropy(NaNDensity(np.zeros(2), 1.0))
 
 
 def test_check_mass_raises_on_bad_box():
@@ -351,7 +352,7 @@ def test_check_mass_raises_on_bad_box():
             return lo, np.zeros_like(hi)  # drops half the mass
 
     with pytest.raises(CoverageError):
-        check_mass(Half(np.zeros(2), 1.0))
+        entropy(Half(np.zeros(2), 1.0))
 
 
 def test_capability_errors_from_base():

@@ -186,9 +186,10 @@ def test_holder_seminorm_constant_path_is_zero(rng):
 
 
 def test_holder_seminorm_accepts_trajectory():
+    # a trajectory goes in as its times and its snapshots' empirical measures
     traj = run(SimConfig(n_particles=16, gamma=-2.0, dt=1e-3, t_end=0.01,
                          seed=1, eta=0.2, snapshot_stride=5))
-    out = holder_seminorm(traj)
+    out = holder_seminorm(traj.times, [EmpiricalMeasure(s.v) for s in traj.snapshots])
     assert np.isfinite(out) and out > 0.0
 
 

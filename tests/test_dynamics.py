@@ -9,9 +9,9 @@ import pytest
 from landausim.densities import GaussianModel
 from landausim.diagnostics import BumpWeakIntegrand, GaussianBumpFn
 import landausim.dynamics as dynamics
-from landausim.dynamics import (NoiseKey, ParticleState, SimConfig,
-                                Trajectory, conserved_quantities, init_iid,
-                                pair_noise, run, step)
+from landausim.dynamics import (ParticleState, SimConfig, Trajectory,
+                                conserved_quantities, init_iid, pair_noise, run,
+                                step)
 from landausim.errors import BlowupError, ConfigError, StrideError
 from landausim.estimators import EmpiricalMeasure, PairStats, pair_inverse_square
 from landausim.potentials import diffusion_sigmaN, drift_bN
@@ -48,6 +48,13 @@ def test_config_validation():
         _cfg(eta=-0.5)
 
 
+@pytest.mark.parametrize("g0", [3, None, "nosuch(1)", "aniso_gauss(2,0.5)", "maxwellian(nan)"])
+def test_config_rejects_a_bad_g0(g0):
+    # the preset is resolved, and so checked, when the config is built
+    with pytest.raises(ConfigError, match="g0|preset"):
+        _cfg(g0=g0)
+
+
 def test_config_dict_roundtrip():
     cfg = _cfg(energy_mode="rescale", snapshot_stride=4)
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
@@ -79,24 +86,6 @@ def test_n_steps_rounding():
 # ---------------------------------------------------------------------------
 # Keyed noise
 
-def test_noise_key_validation_and_rank():
-    with pytest.raises(ConfigError):
-        NoiseKey(seed=0, step_index=0, i=3, j=3)
-    with pytest.raises(ConfigError):
-        NoiseKey(seed=0, step_index=0, i=4, j=2)
-    assert NoiseKey(0, 0, 0, 1).row_index(8) == 0
-    assert NoiseKey(0, 0, 0, 7).row_index(8) == 6
-    assert NoiseKey(0, 0, 1, 2).row_index(8) == 7
-    assert NoiseKey(0, 0, 6, 7).row_index(8) == 27  # last pair of n = 8
-
-
-def test_rank_matches_triu_enumeration():
-    n = 11
-    iu, ju = np.triu_indices(n, k=1)
-    for rank, (i, j) in enumerate(zip(iu, ju)):
-        assert NoiseKey(0, 0, int(i), int(j)).row_index(n) == rank
-
-
 @pytest.mark.parametrize("block", [1, 5, 100, None])
 @pytest.mark.parametrize("n", [2, 3, 7, 300, 1025])
 def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
@@ -116,7 +105,6 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
         np.testing.assert_allclose(r2, np.sum(z * z, axis=0), rtol=1e-15, atol=0)
         assert 0 < bi.size <= cap
         assert lo == expect_lo  # rank offsets are contiguous
-        assert NoiseKey(0, 0, int(bi[0]), int(bj[0])).row_index(n) == lo
         expect_lo += bi.size
     assert expect_lo == n * (n - 1) // 2
 
@@ -212,12 +200,6 @@ def test_reused_walk_gives_the_bits_of_fresh_walks(n, block, monkeypatch):
         dynamics._feed_pairs(init_iid(cfg).v, [PairStats(0.3)], walk)  # as run's final pass
 
 
-def test_noise_key_increment_indexes_the_shared_array():
-    arr = pair_noise(seed=2, step_index=7, n=6, dt=0.1)
-    key = NoiseKey(seed=2, step_index=7, i=1, j=4)
-    np.testing.assert_array_equal(key.increment(6, 0.1), arr[key.row_index(6)])
-
-
 # ---------------------------------------------------------------------------
 # Initialization
 
@@ -310,14 +292,12 @@ def test_exchangeability_under_relabeling():
 
     rng = np.random.default_rng(99)
     p = rng.permutation(n)
+    rank = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(*np.triu_indices(n, k=1)))}
     remapped = np.empty_like(noise)
-    for a in range(n):
-        for b in range(a + 1, n):
-            oi, oj = int(p[a]), int(p[b])
-            sign = 1.0 if oi < oj else -1.0
-            src = NoiseKey(0, 0, min(oi, oj), max(oi, oj)).row_index(n)
-            dst = NoiseKey(0, 0, a, b).row_index(n)
-            remapped[dst] = sign * noise[src]
+    for (a, b), dst in rank.items():
+        oi, oj = int(p[a]), int(p[b])
+        sign = 1.0 if oi < oj else -1.0
+        remapped[dst] = sign * noise[rank[min(oi, oj), max(oi, oj)]]
 
     out = step(state, cfg, noise=noise)
     out_perm = step(ParticleState(state.v[p].copy()), cfg, noise=remapped)

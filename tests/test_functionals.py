@@ -11,11 +11,9 @@ from landausim.densities import (DensityModel, GaussianModel, ScaledModel,
 from landausim.errors import CapabilityError, ConfigError
 from landausim import functionals
 from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch,
-                                   beta_power_identity_probes, dissipation_K,
-                                   entropy, entropy_production_D,
-                                   fisher_information, grid_functionals,
-                                   ibp_identity_check, k_family,
-                                   tensor_consistency_D)
+                                   beta_power_identity_probes, entropy,
+                                   entropy_production_D, fisher_information,
+                                   grid_functionals, k_family, tensor_consistency_D)
 from landausim.potentials import PotentialSpec, cross_kernels
 from landausim.reference import (bimodal, maxwellian, maxwellian_entropy,
                                  maxwellian_fisher, resolve_preset)
@@ -143,23 +141,23 @@ def test_entropy_never_evaluates_the_log_gradient(monkeypatch):
 # Maxwellian null structure
 
 @pytest.mark.parametrize("sigma2", [0.5, 1.0, 2.0])
-def test_maxwellian_annihilates_pair_functionals(sigma2):
+def test_maxwellian_annihilates_pair_functionals(sigma2, pot_gm2):
     # dyadic temperatures make the pair fields vanish identically in floating
     # point, so the estimates and their standard errors are exactly zero
     pair = TensorPower(maxwellian(sigma2), 2)
     mc = MCSpec(50_000, 7)
-    for est in (entropy_production_D(pair, -2.0, mc),
-                J_functional(pair, -2.0, mc),
-                dissipation_K(pair, 1.0, -2.0, mc)):
+    for est in (entropy_production_D(pair, pot_gm2, mc),
+                J_functional(pair, pot_gm2, mc),
+                k_family(pair, [1.0], pot_gm2, mc).estimates[1.0]):
         assert est.value == 0.0
         assert est.abs_error == 0.0
 
 
-def test_maxwellian_nondyadic_temperature_is_roundoff_null():
+def test_maxwellian_nondyadic_temperature_is_roundoff_null(pot_gm2):
     # at other temperatures the null survives only up to rounding; the
     # residual scale is ~1e-32, negligible against any physical value
     pair = TensorPower(maxwellian(0.7), 2)
-    est = dissipation_K(pair, 1.0, -2.0, MCSpec(20_000, 7))
+    est = k_family(pair, [1.0], pot_gm2, MCSpec(20_000, 7)).estimates[1.0]
     assert 0.0 <= est.value < 1e-28
 
 
@@ -177,9 +175,15 @@ def test_J_matches_reference_gm2(aniso_pair, pot_gm2):
     assert _agree(est, ANISO_GM2["J"], ANISO_GM2["J_tol"] + 4 * est.abs_error)
 
 
+@pytest.fixture(scope="module")
+def k_gm2(aniso_pair, pot_gm2):
+    # each K_beta of a family has the bits of a one-beta family on the same seed
+    return k_family(aniso_pair, [0.0, 1.0 / 3.0, 0.5, 1.0], pot_gm2, MCSpec(400_000, 12))
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0 / 3.0, 0.5, 1.0])
-def test_K_matches_reference_gm2(aniso_pair, pot_gm2, beta):
-    est = dissipation_K(aniso_pair, beta, pot_gm2, MCSpec(400_000, 12))
+def test_K_matches_reference_gm2(k_gm2, beta):
+    est = k_gm2.estimates[beta]
     assert _agree(est, ANISO_GM2["K"][beta], ANISO_GM2["K_tol"])
 
 
@@ -187,7 +191,7 @@ def test_DJK_match_reference_gm3(aniso_pair, pot_gm3):
     mc = MCSpec(400_000, 13)
     d = entropy_production_D(aniso_pair, pot_gm3, mc)
     j = J_functional(aniso_pair, pot_gm3, mc)
-    k0 = dissipation_K(aniso_pair, 0.0, pot_gm3, mc)
+    k0 = k_family(aniso_pair, [0.0], pot_gm3, mc).estimates[0.0]
     assert _agree(d, ANISO_GM3["D"], ANISO_GM3["D_tol"] + 4 * d.abs_error)
     assert _agree(j, ANISO_GM3["J"], ANISO_GM3["J_tol"] + 4 * j.abs_error)
     assert _agree(k0, ANISO_GM3["K"][0.0], ANISO_GM3["K_tol"])
@@ -247,12 +251,6 @@ def test_k_family_always_contains_the_anchor(aniso_pair, pot_gm2):
         fam.estimates[0.0].value - fam.estimates[1 / 3].value, rel=1e-12)
 
 
-def test_dissipation_K_rejects_beta_out_of_range(aniso_pair, pot_gm2):
-    for beta in (-0.1, 1.5):
-        with pytest.raises(ValueError):
-            dissipation_K(aniso_pair, beta, pot_gm2, MCSpec(100, 0))
-
-
 @pytest.mark.parametrize("beta", [-0.1, 1.5, float("nan")])
 def test_k_family_rejects_beta_out_of_range(aniso_pair, pot_gm2, beta):
     with pytest.raises(ConfigError):
@@ -267,22 +265,29 @@ def test_mcspec_rejects_bad_budgets(n_samples, seed):
 
 
 # ---------------------------------------------------------------------------
-# Integration by parts: int (ddF)(dF)^2/F^2 = (2/3) J
+# Integration by parts: int (ddF)(dF)^2/F^2 = (2/3) J.  Per sample,
+# residual(beta) is (2 beta - 2/3) times int (ddF)(dF)^2/F^2 - (2/3) J
+
+def _ibp_residual(model, pot, mc):
+    return k_family(model, [1.0], pot, mc).residual(1.0)
+
 
 def test_ibp_identity_normalized_scalar(aniso_pair, pot_gm2):
-    full = ibp_identity_check(aniso_pair, pot_gm2, MCSpec(200_000, 31))
-    assert abs(full["residual_mean"]) <= 4.0 * full["residual_se"]
-    scalar = full["residual"]
-    assert scalar == pytest.approx(
-        abs(full["residual_mean"]) / (1.5 * full["rhs"]), rel=1e-12)
-    assert full["lhs"] == pytest.approx(full["rhs"],
-                                        abs=6.0 * full["residual_se"])
+    fam = k_family(aniso_pair, [0.0, 1.0], pot_gm2, MCSpec(200_000, 31))
+    res = fam.residual(1.0)
+    assert abs(res.value) <= 4.0 * res.abs_error
+    # the IBP residual normalized by J, (3/4) residual(1) / J, is resolved
+    # to better than 1 %
+    assert 0.75 * res.abs_error / fam.J.value < 0.01
+    # the per-sample scaling: residual(0) / (-2/3) == residual(1) / (4/3)
+    assert fam.residual(0.0).value / (-2.0 / 3.0) == pytest.approx(
+        res.value / (4.0 / 3.0), rel=1e-9)
 
 
 def test_ibp_residual_se_shrinks_like_sqrt_n(aniso_pair, pot_gm2):
-    small = ibp_identity_check(aniso_pair, pot_gm2, MCSpec(20_000, 5))
-    big = ibp_identity_check(aniso_pair, pot_gm2, MCSpec(320_000, 5))
-    shrink = small["residual_se"] / big["residual_se"]
+    small = _ibp_residual(aniso_pair, pot_gm2, MCSpec(20_000, 5))
+    big = _ibp_residual(aniso_pair, pot_gm2, MCSpec(320_000, 5))
+    shrink = small.abs_error / big.abs_error
     assert shrink == pytest.approx(4.0, rel=0.15)  # sqrt(16) with CLT noise
 
 
@@ -291,9 +296,9 @@ def test_ibp_residual_averages_down_across_seeds(aniso_pair, pot_gm2):
     # their spread matches the reported SE scale
     vals, ses = [], []
     for seed in range(16):
-        full = ibp_identity_check(aniso_pair, pot_gm2, MCSpec(20_000, seed))
-        vals.append(full["residual_mean"])
-        ses.append(full["residual_se"])
+        res = _ibp_residual(aniso_pair, pot_gm2, MCSpec(20_000, seed))
+        vals.append(res.value)
+        ses.append(res.abs_error)
     vals = np.array(vals)
     pooled_mean = vals.mean()
     pooled_se = float(np.mean(ses)) / math.sqrt(16)
@@ -318,8 +323,9 @@ def test_eta_monotonicity_on_shared_samples(aniso_pair, rng):
 
     vals = [shared_D(PotentialSpec(-2.0, eta)) for eta in (0.4, 0.2, 0.1, 0.05)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    # and the bare kernel dominates every regularized value
-    bare = shared_D(-2.0)
+    # and the bare kernel dominates every regularized value: below the 1e-12
+    # singular cutoff, eta leaves r**gamma on every kept sample
+    bare = shared_D(PotentialSpec(-2.0, 1e-13))
     assert bare >= vals[-1]
 
 
@@ -441,7 +447,7 @@ def test_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
             == entropy_production_D(aniso_pair, pot_gm2, mc))
     assert J_functional(model, pot_gm2, mc) == J_functional(aniso_pair, pot_gm2, mc)
     with pytest.raises(CapabilityError):
-        dissipation_K(model, 1.0, pot_gm2, mc)
+        k_family(model, [1.0], pot_gm2, mc)
     fam = k_family(model, [], pot_gm2, mc)  # no beta, no anchor, no u2
     assert fam.D == entropy_production_D(aniso_pair, pot_gm2, mc)
     assert fam.J == J_functional(aniso_pair, pot_gm2, mc)
@@ -457,10 +463,8 @@ def _pair_functional_results(model, pot, betas):
     mc = MCSpec(_BLOCKED_N, 0)
     fam = k_family(model, betas, pot, mc)
     return {"D": entropy_production_D(model, pot, mc), "J": J_functional(model, pot, mc),
-            "K": [dissipation_K(model, b, pot, mc) for b in betas],
             "family": (fam.estimates, fam.J, fam.D, fam.n, fam.n_rejected,
-                       fam.residual(0.0)),
-            "ibp": ibp_identity_check(model, pot, mc)}
+                       fam.residual(0.0), fam.residual(1.0))}
 
 
 @pytest.mark.parametrize("preset", ["maxwellian(1)", "aniso_gauss(2,0.5,0.5)", "bimodal(3)"])
@@ -472,7 +476,6 @@ def test_blocked_pair_fields_equal_one_whole_batch(monkeypatch, pot_gm2, preset)
     betas = [0.0, 0.5, 1.0]
     blocked = _pair_functional_results(model, pot_gm2, betas)
     assert blocked["family"][3:5] == (_BLOCKED_N - 2, 2)
-    assert blocked["ibp"]["n"] == _BLOCKED_N - 2 and blocked["ibp"]["n_rejected"] == 2
 
     whole = _PairBatch(model, pot_gm2, X)
     fam = k_family(model, betas, pot_gm2, MCSpec(_BLOCKED_N, 0))

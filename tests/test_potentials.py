@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import landausim as ls
 from landausim.errors import ConfigError
 from landausim.potentials import (CHI_PLATEAU, PotentialSpec, a_matrix,
-                                  alpha_bare, alpha_reg, chi, chi_eta,
+                                  alpha_reg, chi, chi_eta,
                                   chi_prime, cross_kernels, default_eta,
                                   diffusion_sigmaN, drift_bN,
                                   ratio_condition_margin)
@@ -166,7 +166,7 @@ def test_alpha_reg_writes_into_out(gamma):
 @given(st.floats(min_value=1e-4, max_value=10.0))
 def test_alpha_reg_capped_by_bare(r):
     spec = PotentialSpec(gamma=-2.0, eta=0.2)
-    assert alpha_reg(spec, r) <= alpha_bare(-2.0, r) * (1 + 1e-14)
+    assert alpha_reg(spec, r) <= r ** -2.0 * (1 + 1e-14)
 
 
 def test_alpha_reg_monotone_in_eta_pointwise():

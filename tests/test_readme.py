@@ -1,5 +1,9 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import landausim
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,12 @@ def test_readme_api_sketch_runs(capsys):
     assert sketch is not None
     exec(compile(sketch.group(1), str(_README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def test_every_public_name_resolves():
+    # each name in the package's and every module's __all__ is defined there
+    modules = [landausim] + [importlib.import_module(f"landausim.{m.name}")
+                             for m in pkgutil.iter_modules(landausim.__path__)]
+    for mod in modules:
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)

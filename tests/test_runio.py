@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from landausim.cli import main as cli_main
 from landausim.dynamics import SimConfig, run
 from landausim.errors import ConfigError
 from landausim.runio import load_config, load_trajectory, save_trajectory
@@ -71,6 +72,36 @@ def test_load_rejects_unknown_format(tmp_path):
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match="'hdf5'"):
         load_trajectory(out)
+
+
+def _break_manifest_json(out):
+    (out / "manifest.json").write_text('{"format": "csv",,}')
+
+
+def _drop_manifest_format(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["format"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _break_diagnostics_line(out):
+    lines = (out / "diagnostics.jsonl").read_text().splitlines()
+    lines[2] = lines[2][:-1]  # the third row loses its closing brace
+    (out / "diagnostics.jsonl").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("damage, match", [
+    (_break_manifest_json, r"manifest\.json: invalid JSON at line 1, column 18"),
+    (_drop_manifest_format, r"manifest\.json: .*\['format'\]"),
+    (_break_diagnostics_line, r"diagnostics\.jsonl: invalid JSON at line 3"),
+], ids=["manifest_json", "manifest_key", "diagnostics_line"])
+def test_load_rejects_a_damaged_run_naming_the_file(tmp_path, capsys, damage, match):
+    out = save_trajectory(run(_small_cfg()), tmp_path / "run", "csv")
+    damage(out)
+    with pytest.raises(ConfigError, match=match):
+        load_trajectory(out)
+    assert cli_main(["plotdata", "--run", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_csv_header_carries_time_and_step(tmp_path):
