@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensityModel, GaussianModel, grid_integrate
-from .dynamics import Trajectory, _PairWalk, _take
+from .dynamics import Trajectory, _PairWalk
 from .errors import ConfigError, StrideError
 from .estimators import EmpiricalMeasure
 from .potentials import _power
@@ -310,6 +310,12 @@ def _dot(x, y) -> float:
     """sum(x * y) as one pairwise sum, written into y (no BLAS: the same bits
     at any thread count)."""
     return float(np.add.reduce(np.multiply(x, y, out=y)))
+
+
+def _take(a, idx, out):
+    """np.take into out.  Mode "clip" because the indices are in range and the
+    default "raise" mode copies `out` first."""
+    return np.take(a, idx, out=out, mode="clip")
 
 
 def _bare_alpha(r2, gamma: float, alpha, r, far):

@@ -181,22 +181,20 @@ def _stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
 _PAIR_BLOCK = 1 << 16
 
 
-def _take(a, idx, out, axis=None):
-    """np.take into out.  Mode "clip" because the indices are in range and the
-    default "raise" mode copies `out` first."""
-    return np.take(a, idx, axis=axis, out=out, mode="clip")
-
-
 class _PairWalk:
     """One block's worth of every buffer of a pair pass over n points.
 
     `blocks(v)` walks the pairs i < j of the (n, 3) points v in blocks of
     max(1, _PAIR_BLOCK // (n - 1)) whole rows, in rank order, so a block
     holds at most max(_PAIR_BLOCK, n - 1) pairs.  The layout is component
-    major: the pass copies v once into one (3, n) array, gathers each
-    coordinate of z = v[iu] - v[ju] with one-dimensional takes into a
-    (3, m) buffer, and sums |z|^2 = (z0^2 + z2^2) + z1^2, the order of
-    einsum("pc,pc->p") on the row-major z, so r2 has the same bits.  The
+    major: the pass copies v once into one (3, n) array vt, and the walk
+    holds two views of vt per row i, built once: the head, column i
+    repeated n - 1 - i times (a stride-0 (3, n - 1 - i) view), and the
+    tail, the columns > i.  A block's z = v[iu] - v[ju] is its rows' heads
+    joined into a (3, m) buffer minus its rows' tails joined into another,
+    two calls per block and no index gather; r2 sums |z|^2 =
+    (z0^2 + z2^2) + z1^2, the order of einsum("pc,pc->p") on the
+    row-major z, so r2 has the same bits.  The
     step keeps its noise and kernel terms in the other buffers; the term
     buffers and the mask are idle while a block's consumers run, and are
     lent to them as its spare.  `offsets[b]` holds the first pair of each
@@ -216,22 +214,25 @@ class _PairWalk:
         self.r2, self.r, self.alpha, self.coef, self.zdb = np.empty((5, cap))
         self.mask = np.empty(cap, dtype=bool)
         self.terms = np.empty((6, cap))  # the (3, m) pair term and dB
-        # row i's pairs as views: n - 1 - i copies of i, and the columns > i
+        # row i's pairs as views: n - 1 - i copies of i, and the columns > i,
+        # of the indices and of the points' coordinates in vt
         cols = np.arange(n)
         same = np.broadcast_to(cols[:, None], (n, n - 1))
         self._row_i = [same[i, :n - 1 - i] for i in range(n - 1)]
         self._row_j = [cols[i + 1:] for i in range(n - 1)]
+        heads = np.broadcast_to(self.vt.T[:, :, None], (n, 3, n - 1))
+        self._heads = [heads[i, :, :n - 1 - i] for i in range(n - 1)]
+        self._tails = [self.vt[:, i + 1:] for i in range(n - 1)]
         self._indexed = None  # first row of the block the indices hold
         lengths = np.arange(n - 1, 0, -1)  # row i holds n - 1 - i pairs
         self.offsets = [np.cumsum(rows) - rows for rows in
                         (lengths[i0:i0 + self.rows] for i0 in range(0, n - 1, self.rows))]
 
-    def _index(self, i0: int) -> int:
-        """Write the indices of the block that starts at row i0 by joining
-        its rows' views (a one-block walk writes them once); returns the
+    def _index(self, i0: int, stop: int) -> int:
+        """Write the indices of the block of rows i0..stop-1 by joining its
+        rows' views (a one-block walk writes them once); returns the
         block's size."""
-        n, stop = self.n, min(i0 + self.rows, self.n - 1)
-        k = stop - i0
+        n, k = self.n, stop - i0
         m = k * (n - 1 - i0) - k * (k - 1) // 2
         if self._indexed != i0:
             np.concatenate(self._row_i[i0:stop], out=self.iu[:m])
@@ -250,15 +251,14 @@ class _PairWalk:
         n = self.n
         if v.shape[0] != n:
             raise ValueError(f"a walk over {n} points got {v.shape[0]}")
-        vt = self.vt
-        np.copyto(vt, v.T)
+        np.copyto(self.vt, v.T)
         for i0 in range(0, n - 1, self.rows):
-            m = self._index(i0)
+            stop = min(i0 + self.rows, n - 1)
+            m = self._index(i0, stop)
             iu, ju, z, r2 = self.iu[:m], self.ju[:m], self.z[:, :m], self.r2[:m]
             other = self.terms[3:, :m]
-            for c in range(3):
-                _take(vt[c], iu, z[c])
-                z[c] -= _take(vt[c], ju, other[c])
+            np.concatenate(self._heads[i0:stop], axis=1, out=z)
+            z -= np.concatenate(self._tails[i0:stop], axis=1, out=other)
             np.multiply(z, z, out=other)
             np.add(other[0], other[2], out=r2)
             r2 += other[1]
