@@ -13,10 +13,11 @@ pairwise so the kinetic energy sum_i |V_i|^2 is conserved by the continuous
 dynamics; the Euler-Maruyama step leaves an O(dt) energy error that
 energy_mode="rescale" removes by an affine rescaling about the mean.
 
-Noise is counter-based: step s of a run with seed q draws its N(N-1)/2 pair
-increments from one Philox stream keyed by (q, "pair", s), in upper-triangle
-rank order, so a pair's increment is a pure function of the seed, the step
-and the pair, and trajectories are reproducible bit for bit.  The step (and
+Noise is keyed: step s of a run with seed q draws its N(N-1)/2 pair
+increments from one SFC64 stream seeded by SeedSequence((q, "pair", s)), in
+upper-triangle rank order, so a pair's increment is a pure function of the
+seed, the step and the pair, and trajectories are reproducible bit for bit
+(the initial cloud comes from the stream of (q, "init", 0)).  The step (and
 every other pair sweep) walks the pairs in row blocks of that rank order and
 draws each block's increments from the stream as it reaches the block: the
 consecutive draws are exactly the rows of `pair_noise`'s single draw, and a
@@ -175,7 +176,7 @@ def conserved_quantities(state: ParticleState):
 
 def _stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=(seed, domain, index))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    return np.random.Generator(np.random.SFC64(seed=ss))
 
 
 _PAIR_BLOCK = 1 << 16
@@ -194,11 +195,11 @@ class _PairWalk:
     joined into a (3, m) buffer minus its rows' tails joined into another,
     two calls per block and no index gather; r2 sums |z|^2 =
     (z0^2 + z2^2) + z1^2, the order of einsum("pc,pc->p") on the
-    row-major z, so r2 has the same bits.  The
-    step keeps its noise and kernel terms in the other buffers; the term
-    buffers and the mask are idle while a block's consumers run, and are
-    lent to them as its spare.  `offsets[b]` holds the first pair of each
-    row of block b, relative to the block, for the step's row sums.
+    row-major z, so r2 has the same bits.  The step keeps its noise and
+    kernel terms in the other buffers; the term buffers and the mask are
+    idle while a block's consumers run, and are lent to them as its spare.
+    `offsets[b]` holds the first pair of each row of block b, relative to
+    the block, for the step's row sums.
     """
 
     def __init__(self, n: int):

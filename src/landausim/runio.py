@@ -34,12 +34,21 @@ def _write_snapshot_csv(path: Path, state: ParticleState):
         fh.write("".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in state.v.tolist()))
 
 
-def _read_snapshot_csv(path: Path) -> ParticleState:
+def _read_snapshot_csv(path: Path, n: int) -> ParticleState:
     with open(path) as fh:
         header = fh.readline().strip()
-        fields = dict(part.split("=") for part in header.lstrip("# ").split())
-        v = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return ParticleState(v, t=float(fields["t"]), step_index=int(fields["step"]))
+        try:
+            fields = dict(part.split("=") for part in header.lstrip("# ").split())
+            t, step_index = float(fields["t"]), int(fields["step"])
+            v = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except KeyError as exc:
+            raise ConfigError(f"{path}: a snapshot header without {exc.args[0]}=") from None
+        except ValueError as exc:
+            raise ConfigError(f"{path}: a damaged snapshot: {exc}") from exc
+    if v.shape != (n, 3):
+        raise ConfigError(f"{path}: velocities of shape {v.shape}, where the run "
+                          f"has {(n, 3)}")
+    return ParticleState(v, t=t, step_index=step_index)
 
 
 def _write_snapshot_bin(path: Path, state: ParticleState):
@@ -47,10 +56,14 @@ def _write_snapshot_bin(path: Path, state: ParticleState):
     flat.astype("<f8").tofile(path)
 
 
-def _read_snapshot_bin(path: Path) -> ParticleState:
+def _read_snapshot_bin(path: Path, n: int) -> ParticleState:
+    size, expect = path.stat().st_size, 8 * (2 + 3 * n)
+    if size != expect:
+        raise ConfigError(f"{path}: {size} bytes, where a snapshot of {n} particles "
+                          f"has {expect}")
     flat = np.fromfile(path, dtype="<f8")
     step_index, t = int(flat[0]), float(flat[1])
-    return ParticleState(flat[2:].reshape(-1, 3), t=t, step_index=step_index)
+    return ParticleState(flat[2:].reshape(n, 3), t=t, step_index=step_index)
 
 
 # snapshot format -> (writer, reader); the format name is the file extension
@@ -119,18 +132,24 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
-def load_config(path) -> SimConfig:
-    """Parse a JSON config file; parse errors surface line and column."""
-    raw = _read_json(path, "config")
+def _config_from(raw, path) -> SimConfig:
+    """The SimConfig of the JSON value raw read from the file path; a value
+    that is not an object is a ConfigError naming the file."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return SimConfig.from_dict(raw)
 
 
+def load_config(path) -> SimConfig:
+    """Parse a JSON config file; parse errors surface line and column."""
+    return _config_from(_read_json(path, "config"), path)
+
+
 def load_trajectory(run_dir) -> Trajectory:
     """Rebuild a Trajectory (snapshots + diagnostics) from a saved run.  An
-    unreadable file, invalid JSON or a manifest without a key it needs is a
-    ConfigError that names the file (and the line of a JSON error)."""
+    unreadable file, invalid JSON, a manifest without a key it needs or a
+    snapshot that does not hold the config's particles is a ConfigError that
+    names the file (and the line of a JSON error)."""
     run = Path(run_dir)
     path = run / "manifest.json"
     manifest = _read_json(path, f"saved run {run}")
@@ -138,10 +157,11 @@ def load_trajectory(run_dir) -> Trajectory:
                if not isinstance(manifest, dict) or key not in manifest]
     if missing:
         raise ConfigError(f"{path}: a run manifest without the keys {missing}")
-    traj = Trajectory(config=SimConfig.from_dict(manifest["config"]))
+    traj = Trajectory(config=_config_from(manifest["config"], path))
     _, reader = _snapshot_io(manifest["format"])
+    n = traj.config.n_particles
     try:
-        traj.snapshots = [reader(run / name) for name in manifest["snapshots"]]
+        traj.snapshots = [reader(run / name, n) for name in manifest["snapshots"]]
     except OSError as exc:
         raise ConfigError(f"cannot read saved run {run}: {exc}") from exc
     diag_path = run / "diagnostics.jsonl"

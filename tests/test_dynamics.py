@@ -135,6 +135,27 @@ def test_pair_noise_shape_determinism_and_scale():
     assert big.std() == pytest.approx(2.0, rel=0.02)  # sqrt(dt) scaling
 
 
+def _assert_mean_within_5_se(samples, mean):
+    se = samples.std() / math.sqrt(samples.size)
+    assert abs(samples.mean() - mean) < 5 * se, (samples.mean(), mean, se)
+
+
+def test_pair_noise_moments_and_independence():
+    # one step at N = 400 draws 239 400 increments: N(0, dt) in the first
+    # four moments, and uncorrelated with the next step, with another seed
+    # and with the init draw of the same seed (maxwellian(1) samples plain
+    # standard normals from its stream)
+    n, dt, seed = 400, 0.01, 7
+    x = pair_noise(seed, 0, n, dt).ravel()
+    _assert_mean_within_5_se(x, 0.0)
+    _assert_mean_within_5_se(x ** 2, dt)
+    _assert_mean_within_5_se(x ** 4, 3 * dt ** 2)
+    init = init_iid(_cfg(n_particles=x.size // 3, seed=seed)).v.ravel()
+    for other in (pair_noise(seed, 1, n, dt).ravel(), pair_noise(seed + 1, 0, n, dt).ravel(),
+                  init):
+        _assert_mean_within_5_se(x * other, 0.0)
+
+
 @pytest.mark.parametrize("n", [3, 400])  # N = 400 walks three row blocks
 def test_block_noise_is_the_keyed_array(n):
     cfg = _cfg(n_particles=n, seed=11)
@@ -499,21 +520,22 @@ def test_run_rescale_keeps_initial_energy():
 # Seeded-output digests: any change to the step's arithmetic or summation
 # order shows up here.  A change that moves results on purpose updates the
 # digest and says why.
-# Frozen with the component-major step: per-block row reductions and
-# bincounts, and integer gamma taken by products, not np.power.
+# Frozen with the SFC64 keyed streams: the init and pair draws come from
+# SFC64 generators seeded by SeedSequence((seed, domain, step)), in place
+# of Philox, which moved every seeded trajectory once.
 
 _DIGEST_CONFIGS = [
     (dict(n_particles=64, gamma=0.0, dt=1e-2, t_end=0.1, seed=1, eta=0.5),
-     "0160acca3d0fc3f27adf0b0273ff0e3f"
-     "06cdcc7ec775a6a6bca38a69b52ac047"),
+     "569738d39c798e1e15009a16fc40f795"
+     "65646cf54a85ea127cdb704bcc500e05"),
     # N = 400 has 79 800 pairs: the step walks more than one row block
     (dict(n_particles=400, gamma=-2.0, dt=1e-3, t_end=0.005, seed=2,
           energy_mode="rescale"),
-     "92eb9530beb7b7e77bbc1b08a5f09972"
-     "0cdafcae39eef0a030bddf83964095f0"),
+     "2abacf7534e9e485265ddc1e54fcb0ec"
+     "a963842eb44604f0c24064400e7bf702"),
     (dict(n_particles=130, gamma=-3.0, dt=1e-3, t_end=0.01, seed=3),
-     "2906efd6cc583ac536a5bf0f512d3242"
-     "e0bd450489200caedb95ed8a68cc641b"),
+     "5cdb61ad660643cb7773f86105764c3f"
+     "e681daf4e3fe47289af88c5e474c813c"),
 ]
 
 

@@ -90,15 +90,58 @@ def _break_diagnostics_line(out):
     (out / "diagnostics.jsonl").write_text("\n".join(lines) + "\n")
 
 
+def _make_manifest_config_a_number(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"] = 3
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _drop_snapshot_time(out):
+    lines = (out / "snap_000001.csv").read_text().splitlines()
+    lines[0] = "# step=2 n=12"
+    (out / "snap_000001.csv").write_text("\n".join(lines) + "\n")
+
+
+def _break_snapshot_row(out):
+    lines = (out / "snap_000001.csv").read_text().splitlines()
+    lines[3] = "0.5,abc,0.25"
+    (out / "snap_000001.csv").write_text("\n".join(lines) + "\n")
+
+
+def _drop_snapshot_row(out):
+    lines = (out / "snap_000001.csv").read_text().splitlines()
+    (out / "snap_000001.csv").write_text("\n".join(lines[:-1]) + "\n")
+
+
 @pytest.mark.parametrize("damage, match", [
     (_break_manifest_json, r"manifest\.json: invalid JSON at line 1, column 18"),
     (_drop_manifest_format, r"manifest\.json: .*\['format'\]"),
+    (_make_manifest_config_a_number, r"manifest\.json: config must be a JSON object"),
     (_break_diagnostics_line, r"diagnostics\.jsonl: invalid JSON at line 3"),
-], ids=["manifest_json", "manifest_key", "diagnostics_line"])
+    (_drop_snapshot_time, r"snap_000001\.csv: a snapshot header without t="),
+    (_break_snapshot_row, r"snap_000001\.csv: a damaged snapshot: .*'abc'"),
+    (_drop_snapshot_row, r"snap_000001\.csv: velocities of shape \(11, 3\), "
+                         r"where the run has \(12, 3\)"),
+], ids=["manifest_json", "manifest_key", "manifest_config", "diagnostics_line",
+        "snapshot_header", "snapshot_row", "snapshot_rows"])
 def test_load_rejects_a_damaged_run_naming_the_file(tmp_path, capsys, damage, match):
     out = save_trajectory(run(_small_cfg()), tmp_path / "run", "csv")
     damage(out)
     with pytest.raises(ConfigError, match=match):
+        load_trajectory(out)
+    assert cli_main(["plotdata", "--run", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_load_rejects_a_truncated_binary_snapshot(tmp_path, capsys):
+    # a binary snapshot of N particles holds 8 (2 + 3N) bytes: step, t, v
+    out = save_trajectory(run(_small_cfg()), tmp_path / "run", "bin")
+    snap = out / "snap_000001.bin"
+    assert snap.stat().st_size == 8 * (2 + 3 * 12)
+    with open(snap, "r+b") as fh:
+        fh.truncate(20)
+    with pytest.raises(ConfigError, match=r"snap_000001\.bin: 20 bytes, where a "
+                                          r"snapshot of 12 particles has 304"):
         load_trajectory(out)
     assert cli_main(["plotdata", "--run", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
