@@ -93,6 +93,8 @@ def _cmd_functionals(args) -> int:
     if bad:
         raise ConfigError(f"unknown functionals {bad}; choose from H,I,D,J,K")
     betas = _parse_list(args.beta, float, "--beta") if "K" in which else []
+    if "K" in which and not betas:
+        raise ConfigError("--beta is empty; K needs at least one beta in [0, 1]")
     for b in betas:
         _check_beta(b)
     needs_pair = any(w in which for w in ("D", "J", "K"))
@@ -324,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--preset", required=True,
                     help='e.g. "maxwellian(1)", "aniso_gauss(2,0.5,0.5)", "bimodal(3)"')
     pf.add_argument("--which", default="H,I", help="comma list from H,I,D,J,K")
-    pf.add_argument("--beta", default="0,0.5,1", help="comma list of K_beta betas")
+    pf.add_argument("--beta", default="0,0.5,1",
+                    help="comma list of K_beta betas in [0, 1]; K needs at least one")
     pf.add_argument("--gamma", type=float, default=None, help="potential exponent")
     pf.add_argument("--eta", type=float, default=None,
                     help="regularization length (default: sample-count rule)")

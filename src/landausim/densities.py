@@ -11,6 +11,14 @@ Every model works on batched points X of shape (n, dim) and exposes:
 
 Models are normalized analytically (Gaussians, mixtures) and wrappers
 (tensor powers, dilations, translations) preserve normalization exactly.
+
+Per-point arithmetic runs over whole columns: centering at a mean or
+shift, weighting by mixture responsibilities and joining tensor blocks go
+one column of n values at a time, because numpy broadcasts a (dim,)
+vector over an (n, dim) array, and concatenates along axis 1, one
+dim-element row at a time.  The column forms give the same bits.  The
+matrix products and ``einsum`` quadratic forms see operands laid out as
+before: einsum's summation order follows its operands' layout.
 """
 
 from __future__ import annotations
@@ -60,6 +68,24 @@ class DensityModel:
 _SAMPLE_ROWS = 2**16  # rows per in-place block of GaussianModel.sample
 
 
+def _columns(n: int, dim: int, fill=None):
+    """An (n, dim) float array stored column by column (empty, or filled
+    with `fill`), so each of its columns is one contiguous run."""
+    out = np.empty((dim, n)) if fill is None else np.full((dim, n), fill)
+    return out.T
+
+
+def _minus(X, v):
+    """X - v for points X (n, dim) and a (dim,) vector v, one whole column
+    at a time, into an array laid out like X, as X - v would be (an einsum
+    over it sums in an order set by that layout)."""
+    X = np.atleast_2d(X)
+    out = np.empty_like(X, dtype=float)
+    for i, vi in enumerate(v):
+        np.subtract(X[:, i], vi, out=out[:, i])
+    return out
+
+
 def _axis_halfwidth(tail_mass: float, dim: int) -> float:
     # imported here: only the grid quadrature needs it, and it costs every
     # simulate and sweep 0.5 MB of RSS
@@ -95,12 +121,16 @@ class GaussianModel(DensityModel):
         self._log_norm = -0.5 * (self.dim * math.log(2.0 * math.pi) + logdet)
 
     def log_density(self, X):
-        d = np.atleast_2d(X) - self.mean
+        d = _minus(X, self.mean)
         q = np.einsum("ni,ni->n", d @ self.prec, d)
         return self._log_norm - 0.5 * q
 
     def log_grad(self, X):
-        return (self.mean - np.atleast_2d(X)) @ self.prec
+        X = np.atleast_2d(X)
+        d = np.empty_like(X, dtype=float)  # mean - X, column by column
+        for i, m in enumerate(self.mean):
+            np.subtract(m, X[:, i], out=d[:, i])
+        return d @ self.prec
 
     def log_hess_quadform(self, X, U):
         U = np.atleast_2d(U)
@@ -152,9 +182,11 @@ class GaussianMixtureModel(DensityModel):
     def log_grad(self, X):
         X = np.atleast_2d(X)
         r = self._responsibilities(X)
-        out = np.zeros_like(X)
+        out = _columns(X.shape[0], self.dim, 0.0)
         for ri, c in zip(r, self.components):
-            out += ri[:, None] * c.log_grad(X)
+            g = c.log_grad(X)
+            for i in range(self.dim):
+                out[:, i] += ri * g[:, i]
         return out
 
     def log_hess_quadform(self, X, U):
@@ -210,7 +242,14 @@ class TensorPower(DensityModel):
         return sum(self.base.log_density(b) for b in self._blocks(X))
 
     def log_grad(self, X):
-        return np.concatenate([self.base.log_grad(b) for b in self._blocks(X)], axis=1)
+        blocks = self._blocks(X)
+        out = _columns(blocks[0].shape[0], self.dim)
+        d = self.base.dim
+        for i, block in enumerate(blocks):
+            g = self.base.log_grad(block)
+            for c in range(d):
+                out[:, i * d + c] = g[:, c]
+        return out
 
     def log_hess_quadform(self, X, U):
         # block-diagonal Hessian: quadratic forms add block by block
@@ -266,17 +305,17 @@ class ShiftedModel(DensityModel):
 
     def __init__(self, base: DensityModel, shift):
         self.base = base
-        self.shift = np.asarray(shift, dtype=float)
+        self.shift = np.broadcast_to(np.asarray(shift, dtype=float), (base.dim,))
         self.dim = base.dim
 
     def log_density(self, X):
-        return self.base.log_density(np.atleast_2d(X) - self.shift)
+        return self.base.log_density(_minus(X, self.shift))
 
     def log_grad(self, X):
-        return self.base.log_grad(np.atleast_2d(X) - self.shift)
+        return self.base.log_grad(_minus(X, self.shift))
 
     def log_hess_quadform(self, X, U):
-        return self.base.log_hess_quadform(np.atleast_2d(X) - self.shift, U)
+        return self.base.log_hess_quadform(_minus(X, self.shift), U)
 
     def sample(self, rng, n):
         return self.base.sample(rng, n) + self.shift

@@ -33,7 +33,13 @@ regularized alpha_eta of a PotentialSpec and the pair singularity guarded
 The per-sample fields are formed over blocks of 16,384 consecutive samples
 and written into one preallocated array per result, bit-identical to one
 whole-array batch (``k_family`` at 2^20 samples peaks at 99 MB under
-tracemalloc, 302 MB as one batch).  Entropy and Fisher use tensor-grid
+tracemalloc, 302 MB as one batch).  Every per-sample operation runs over
+whole columns: z, g, u1 and u2 are (n, 3) arrays stored column by column,
+z x g and the sums over k are written out per column, because numpy
+applies ``np.sum(axis=1)``, ``np.cross`` and (n, 3) slicing arithmetic one
+3-element row at a time, several times slower.  Each column formula
+keeps numpy's order, (c0 + c1) + c2 for a sum, so the values keep their
+bits.  Entropy and Fisher use tensor-grid
 trapezoid quadrature on 3D models, on a fixed grid of 129^3 points over the
 box that holds all but 1e-9 of the mass: one fine pass checks the mass and
 integrates H and I together, one 65^3 pass gives their error scale, and
@@ -48,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .densities import DensityModel, TensorPower, grid_integrate
+from .densities import DensityModel, TensorPower, _columns, grid_integrate
 from .errors import CapabilityError, ConfigError, CoverageError
 from .potentials import PotentialSpec, alpha_reg
 
@@ -68,7 +74,8 @@ __all__ = [
 _SINGULAR_CUTOFF = 1e-12
 # sample rows per pair batch: a block's fields are a few dozen (rows, 3) and
 # (rows,) float arrays, 0.4 and 0.13 MB each, small next to the per-sample
-# results; every field is computed row by row, so the size changes no bit
+# results; each field value depends on its own sample row alone, so the size
+# changes no bit
 _MC_BLOCK = 2**14
 _GRID_POINTS = 129  # per axis of the H, I grid; odd, so the 65-point grid shares endpoints
 _GRID_TAIL = 1e-9  # the mass outside the H, I grid's box
@@ -126,7 +133,7 @@ def grid_functionals(model: DensityModel, which=("H", "I")) -> dict:
                 out.append(np.where(f > 0.0, f * logf, 0.0))
             else:
                 g = model.log_grad(X)
-                out.append(f * np.sum(g * g, axis=1))
+                out.append(f * _row_sum(g * g))
         return out
 
     mass, *vals = grid_integrate(rows, lo, hi, _GRID_POINTS)
@@ -167,8 +174,8 @@ class _PairBatch:
     def __init__(self, model: DensityModel, pot: PotentialSpec, X):
         if model.dim < 6 or model.dim % 3:
             raise CapabilityError("pair functionals need a model on R^{3n}, n >= 2")
-        z = X[:, 0:3] - X[:, 3:6]
-        r = np.sqrt(np.sum(z * z, axis=1))
+        z = _pair_difference(X)
+        r = np.sqrt(_row_sum(z * z))
         keep = r >= _SINGULAR_CUTOFF
         self.n_rejected = int(np.sum(~keep))
         if self.n_rejected:
@@ -178,35 +185,60 @@ class _PairBatch:
         self.alpha = alpha_reg(pot, r)
         self.w4 = self.alpha / (r * r)
 
-        grad = model.log_grad(X)
-        g = grad[:, 0:3] - grad[:, 3:6]
-        self.u1 = np.cross(z, g)                  # u1_k = b_k . g = (z x g)_k
+        g = _pair_difference(model.log_grad(X))
+        # u1_k = b_k . g = (z x g)_k, each column as np.cross forms it
+        self.u1 = _columns(self.n, 3)
+        for k in range(3):
+            a, b = (k + 1) % 3, (k + 2) % 3
+            np.multiply(z[:, a], g[:, b], out=self.u1[:, k])
+            self.u1[:, k] -= z[:, b] * g[:, a]
         self.u1sq = self.u1 * self.u1
         self._u2_inputs = (model, X, z, g)
 
     @cached_property
     def u2(self):
         model, X, z, g = self._u2_inputs
-        u2 = np.zeros_like(self.u1)
+        u2 = _columns(self.n, 3)
         # (b_k, -b_k), later blocks 0; column-major so fills write columns
-        U = np.zeros((model.dim, self.n)).T
+        # (einsum in log_hess_quadform sums in an order set by this layout)
+        U = _columns(self.n, model.dim, 0.0)
         for k in range(3):
             a, b = (k + 1) % 3, (k + 2) % 3
-            U[:, k], U[:, a], U[:, b] = 0.0, -z[:, b], z[:, a]  # b_k = e_k x z
+            U[:, k] = 0.0                              # b_k = e_k x z
+            np.negative(z[:, b], out=U[:, a])
+            U[:, b] = z[:, a]
             np.negative(U[:, 0:3], out=U[:, 3:6])
             curv = -2.0 * sum(z[:, c] * g[:, c] for c in range(3) if c != k)
-            u2[:, k] = model.log_hess_quadform(X, U) + curv
+            np.add(model.log_hess_quadform(X, U), curv, out=u2[:, k])
         return u2
 
     def d_samples(self):
-        return 0.5 * self.alpha * np.sum(self.u1sq, axis=1)
+        return 0.5 * self.alpha * _row_sum(self.u1sq)
 
     def j_samples(self):
-        return self.w4 * np.sum(self.u1sq * self.u1sq, axis=1)
+        return self.w4 * _row_sum(self.u1sq * self.u1sq)
 
     def k_samples(self, beta: float):
         core = self.u2 + beta * self.u1sq
-        return self.w4 * np.sum(core * core, axis=1)
+        return self.w4 * _row_sum(core * core)
+
+
+def _row_sum(a):
+    """np.sum(a, axis=1) of a narrow (n, k) array, bit for bit, added one
+    whole column at a time as numpy adds it, ((0 + a0) + a1) + a2 ..., where
+    numpy's reduction would loop over the k-element rows."""
+    total = 0.0 + a[:, 0]
+    for c in range(1, a.shape[1]):
+        total += a[:, c]
+    return total
+
+
+def _pair_difference(A):
+    """A[:, 0:3] - A[:, 3:6] of an (n, >= 6) array, column by column."""
+    out = _columns(A.shape[0], 3)
+    for c in range(3):
+        np.subtract(A[:, c], A[:, 3 + c], out=out[:, c])
+    return out
 
 
 def _seeded_sample(model: DensityModel, mc: MCSpec):

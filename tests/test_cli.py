@@ -254,6 +254,23 @@ def test_functionals_rejects_empty_which(capsys, which):
     assert out.out == "" and "--which" in out.err
 
 
+@pytest.mark.parametrize("beta", [",", "", " , "])
+def test_functionals_rejects_empty_beta_before_sampling(monkeypatch, capsys, beta):
+    # without K the betas are not read, so an empty list is no error
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", "D",
+               "--beta", beta, "--gamma", "-2", "--samples", "100") == 0
+    capsys.readouterr()
+
+    def no_sampling(*args):
+        raise AssertionError("sampled for an empty --beta")
+
+    monkeypatch.setattr(cli_module, "k_family", no_sampling)
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", "H,K",
+               "--beta", beta, "--gamma", "-2", "--samples", "100") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--beta is empty" in out.err
+
+
 @pytest.mark.parametrize("preset", ["maxwellian(1e-300)", "maxwellian(1e300)"])
 def test_functionals_nan_mass_is_a_coverage_failure(capsys, preset):
     # the grid mass is NaN here; it must fail the mass check, not print NaN
@@ -527,6 +544,9 @@ import sys
 from landausim import cli, densities
 from landausim.reference import resolve_preset
 assert cli.main(["functionals", "--preset", "bimodal(3)", "--which", "H,I"]) == 0
+assert cli.main(["functionals", "--preset", "aniso_gauss(2,0.5,0.5)", "--which", "D,J,K",
+                 "--beta", "0,0.5,1", "--gamma", "-2", "--eta", "0.1",
+                 "--samples", "40000", "--seed", "3"]) == 0
 m = resolve_preset("bimodal(3)")
 lo, hi = m.bounding_box(1e-9)
 
@@ -548,8 +568,10 @@ print(repr(sums[0]))
 def test_grid_outputs_are_the_same_bits_at_one_and_two_blas_threads(dispatch):
     # H, I and their errors are slab sums in a fixed order, so the printed
     # bytes and grid_integrate at any chunk do not depend on the BLAS thread
-    # count; with AVX-512 dispatch off numpy's exp and log give other bits,
-    # so that run is compared only with itself
+    # count; neither do D, J and K_beta, whose BLAS products of three terms
+    # feed column-wise fields (three sample blocks here); with AVX-512
+    # dispatch off numpy's exp and log give other bits, so that run is
+    # compared only with itself
     env = {}
     if dispatch == "no-avx512":
         targets = avx512_dispatch_targets()
@@ -562,7 +584,8 @@ def test_grid_outputs_are_the_same_bits_at_one_and_two_blas_threads(dispatch):
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
-    assert [json.loads(line)["functional"] for line in out[0].splitlines()[:2]] == ["H", "I"]
+    assert [json.loads(line)["functional"] for line in out[0].splitlines()[:7]] == [
+        "H", "I", "D", "J", "K_beta", "K_beta", "K_beta"]
 
 
 def test_module_entry_point_reports_version():

@@ -227,6 +227,57 @@ def test_tensor_power_sample_is_the_factor_draws_side_by_side():
                           expect)
 
 
+def _broadcast_log_density(model, X):
+    """GaussianModel.log_density with the centering broadcast row by row."""
+    d = np.atleast_2d(X) - model.mean
+    return model._log_norm - 0.5 * np.einsum("ni,ni->n", d @ model.prec, d)
+
+
+def _broadcast_log_grad(model, X):
+    """log_grad as numpy's broadcasting, concatenation and row-wise products
+    form it: the reference for the column-by-column code."""
+    X = np.atleast_2d(X)
+    if isinstance(model, GaussianModel):
+        return (model.mean - X) @ model.prec
+    if isinstance(model, TensorPower):
+        d = model.base.dim
+        return np.concatenate([_broadcast_log_grad(model.base, X[:, i * d:(i + 1) * d])
+                               for i in range(model.j)], axis=1)
+    logs = np.stack([_broadcast_log_density(c, X) for c in model.components])
+    logs += np.log(model.weights)[:, None]
+    w = np.exp(logs - logs.max(axis=0))
+    out = np.zeros_like(X)
+    for ri, c in zip(w / w.sum(axis=0), model.components):
+        out += ri[:, None] * _broadcast_log_grad(c, X)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+def _full_covariance_gaussian():
+    a = np.array([[1.0, 0.0, 0.0], [0.4, 0.8, 0.0], [-0.3, 0.2, 1.1]])
+    return GaussianModel([0.5, -0.3, 0.2], a @ a.T)
+
+
+@pytest.mark.parametrize("make_base", [lambda: bimodal(3.0), _full_covariance_gaussian],
+                         ids=["bimodal", "full_cov_gaussian"])
+def test_column_log_grad_has_the_bits_of_the_broadcast_form(make_base):
+    base = make_base()
+    X6 = TensorPower(base, 2).sample(np.random.default_rng(6), 5000)
+    X6[::50] = 0.0  # rows of exact zeros: the sign of a zero must match too
+    for model, inputs in ((base, (X6[:, 0:3], X6[:, 3:6], np.ascontiguousarray(X6[:, 3:6]),
+                                  np.asfortranarray(X6[:, 0:3]), X6[7, 0:3])),
+                          (TensorPower(base, 2), (X6, X6[::3], np.asfortranarray(X6)))):
+        for X in inputs:
+            assert _same_bits(model.log_grad(X), _broadcast_log_grad(model, X))
+    for c in getattr(base, "components", [base]):
+        for X in (X6[:, 0:3], np.asfortranarray(X6[:, 3:6])):
+            assert _same_bits(c.log_density(X), _broadcast_log_density(c, X))
+
+
 def test_scaled_model_is_a_density(rng):
     base = GaussianModel(np.zeros(3), 1.0)
     lam = 2.0

@@ -14,7 +14,7 @@ from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch,
                                    beta_power_identity_probes, entropy,
                                    entropy_production_D, fisher_information,
                                    grid_functionals, k_family, tensor_consistency_D)
-from landausim.potentials import PotentialSpec, cross_kernels
+from landausim.potentials import PotentialSpec, alpha_reg, cross_kernels
 from landausim.reference import (bimodal, maxwellian, maxwellian_entropy,
                                  maxwellian_fisher, resolve_preset)
 
@@ -400,6 +400,98 @@ def test_lean_fields_match_stacked_kernels(make_model, pot_gm2):
     u1, u2 = _stacked_kernel_fields(model, X)
     np.testing.assert_allclose(batch.u1, u1, rtol=1e-12)
     np.testing.assert_allclose(batch.u2, u2, rtol=1e-12)
+
+
+def _row_wise_fields(model, pot, X):
+    """The pair fields as numpy's row-wise forms give them (np.sum over
+    axis 1, np.cross, (n, 3) slice differences): the reference for the
+    column-by-column _PairBatch."""
+    z = X[:, 0:3] - X[:, 3:6]
+    r = np.sqrt(np.sum(z * z, axis=1))
+    keep = r >= 1e-12
+    X, z, r = X[keep], z[keep], r[keep]
+    alpha = alpha_reg(pot, r)
+    w4 = alpha / (r * r)
+    grad = model.log_grad(X)
+    g = grad[:, 0:3] - grad[:, 3:6]
+    u1 = np.cross(z, g)
+    u1sq = u1 * u1
+    u2 = np.zeros_like(u1)
+    U = np.zeros((model.dim, X.shape[0])).T
+    for k in range(3):
+        a, b = (k + 1) % 3, (k + 2) % 3
+        U[:, k], U[:, a], U[:, b] = 0.0, -z[:, b], z[:, a]
+        np.negative(U[:, 0:3], out=U[:, 3:6])
+        curv = -2.0 * sum(z[:, c] * g[:, c] for c in range(3) if c != k)
+        u2[:, k] = model.log_hess_quadform(X, U) + curv
+    fields = {"r": r, "alpha": alpha, "w4": w4, "u1": u1, "u1sq": u1sq, "u2": u2,
+              "D": 0.5 * alpha * np.sum(u1sq, axis=1),
+              "J": w4 * np.sum(u1sq * u1sq, axis=1)}
+    for beta in (0.0, 0.5, 1.0):
+        core = u2 + beta * u1sq
+        fields[beta] = w4 * np.sum(core * core, axis=1)
+    return fields
+
+
+def test_row_sum_has_the_bits_of_numpys_sum():
+    v = np.array([-0.0, 0.0, 1e16, -1e16, 1.0, 1e-300, np.inf, -np.inf, np.nan])
+    rows = np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
+    with np.errstate(invalid="ignore"):
+        for k in (1, 2, 3):
+            for a in (rows[:, :k], np.asfortranarray(rows[:, :k])):
+                assert functionals._row_sum(a).tobytes() == np.sum(a, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("make_model", [lambda: TensorPower(bimodal(3.0), 2),
+                                        _full_covariance_pair],
+                         ids=["bimodal_pair", "full_cov_gaussian"])
+def test_column_pair_fields_have_the_bits_of_the_row_wise_forms(make_model, pot_gm2):
+    model = make_model()
+    X = model.sample(np.random.default_rng(12), 5000)
+    X[[3, 400], 3:6] = X[[3, 400], 0:3]  # two rejected pairs
+    X[7, 0:2] = X[7, 3:5]                # a pair with two zero components
+    batch = _PairBatch(model, pot_gm2, X)
+    got = {"r": batch.r, "alpha": batch.alpha, "w4": batch.w4, "u1": batch.u1,
+           "u1sq": batch.u1sq, "u2": batch.u2, "D": batch.d_samples(),
+           "J": batch.j_samples()}
+    got.update((beta, batch.k_samples(beta)) for beta in (0.0, 0.5, 1.0))
+    expect = _row_wise_fields(model, pot_gm2, X)
+    assert batch.n_rejected == 2
+    for name, val in expect.items():
+        assert val.shape == got[name].shape, name
+        assert np.ascontiguousarray(got[name]).tobytes() == np.ascontiguousarray(val).tobytes(), name
+
+
+# k_family([0, 1/3, 1]) at seed 17 over 40,000 samples (two full 16,384-row
+# blocks and one partial block), pinned bit for bit: (value, abs_error) of D,
+# J and each K_beta.  The fields are column-wise products and sums, one sqrt
+# and BLAS products of three terms, so these bits also hold at two BLAS
+# threads and with AVX-512 dispatch off
+_FROZEN_K_FAMILY = {
+    "aniso_pair": {
+        "D": (0.8738778387692375, 0.0048615865915928366),
+        "J": (5.151648300036927, 0.06841962889832995),
+        0.0: (6.7520438705452905, 0.025527123489944015),
+        1.0 / 3.0: (6.183979934819846, 0.022482250001366694),
+        1.0: (8.482284263393577, 0.055622949349637185)},
+    "full_cov_gaussian": {
+        "D": (0.6835452895785081, 0.0032373049403696514),
+        "J": (2.1682541866080616, 0.023058610473548114),
+        0.0: (3.1534614713690234, 0.0542811757341301),
+        1.0 / 3.0: (2.9151180623625472, 0.05434032802748541),
+        1.0: (3.8839340354216345, 0.05874133203257439)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_K_FAMILY))
+def test_k_family_bits_are_frozen(name, aniso_pair, pot_gm2):
+    assert 2 * _MC_BLOCK < 40_000 < 3 * _MC_BLOCK
+    model = aniso_pair if name == "aniso_pair" else _full_covariance_pair()
+    fam = k_family(model, [0.0, 1.0 / 3.0, 1.0], pot_gm2, MCSpec(40_000, 17))
+    assert (fam.n, fam.n_rejected) == (40_000, 0)
+    got = {"D": (fam.D.value, fam.D.abs_error), "J": (fam.J.value, fam.J.abs_error)}
+    got.update((b, (est.value, est.abs_error)) for b, est in fam.estimates.items())
+    assert got == _FROZEN_K_FAMILY[name]
 
 
 def test_k_family_D_and_J_match_separate_estimates(aniso_pair, pot_gm2):
