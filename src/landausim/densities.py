@@ -68,11 +68,10 @@ class DensityModel:
 _SAMPLE_ROWS = 2**16  # rows per in-place block of GaussianModel.sample
 
 
-def _columns(n: int, dim: int, fill=None):
-    """An (n, dim) float array stored column by column (empty, or filled
-    with `fill`), so each of its columns is one contiguous run."""
-    out = np.empty((dim, n)) if fill is None else np.full((dim, n), fill)
-    return out.T
+def _columns(n: int, dim: int):
+    """An empty (n, dim) float array stored column by column, so each of
+    its columns is one contiguous run."""
+    return np.empty((dim, n)).T
 
 
 def _minus(X, v):
@@ -182,7 +181,7 @@ class GaussianMixtureModel(DensityModel):
     def log_grad(self, X):
         X = np.atleast_2d(X)
         r = self._responsibilities(X)
-        out = _columns(X.shape[0], self.dim, 0.0)
+        out = np.zeros((self.dim, X.shape[0])).T  # column by column
         for ri, c in zip(r, self.components):
             g = c.log_grad(X)
             for i in range(self.dim):

@@ -201,15 +201,13 @@ class _PairBatch:
         u2 = _columns(self.n, 3)
         # (b_k, -b_k), later blocks 0; column-major so fills write columns
         # (einsum in log_hess_quadform sums in an order set by this layout)
-        U = _columns(self.n, model.dim, 0.0)
+        U = np.zeros((model.dim, self.n)).T
         for k in range(3):
             a, b = (k + 1) % 3, (k + 2) % 3
-            U[:, k] = 0.0                              # b_k = e_k x z
-            np.negative(z[:, b], out=U[:, a])
-            U[:, b] = z[:, a]
+            U[:, k], U[:, a], U[:, b] = 0.0, -z[:, b], z[:, a]  # b_k = e_k x z
             np.negative(U[:, 0:3], out=U[:, 3:6])
             curv = -2.0 * sum(z[:, c] * g[:, c] for c in range(3) if c != k)
-            np.add(model.log_hess_quadform(X, U), curv, out=u2[:, k])
+            u2[:, k] = model.log_hess_quadform(X, U) + curv
         return u2
 
     def d_samples(self):
