@@ -12,13 +12,14 @@ Every model works on batched points X of shape (n, dim) and exposes:
 Models are normalized analytically (Gaussians, mixtures) and wrappers
 (tensor powers, dilations, translations) preserve normalization exactly.
 
-Per-point arithmetic runs over whole columns: centering at a mean or
-shift, weighting by mixture responsibilities and joining tensor blocks go
-one column of n values at a time, because numpy broadcasts a (dim,)
-vector over an (n, dim) array, and concatenates along axis 1, one
-dim-element row at a time.  The column forms give the same bits.  The
-matrix products and ``einsum`` quadratic forms see operands laid out as
-before: einsum's summation order follows its operands' layout.
+The Gaussian, mixture and tensor-power densities and gradients run over
+whole columns: centering at a mean, weighting by mixture responsibilities
+and joining tensor blocks go one column of n values at a time, because
+numpy broadcasts a (dim,) vector over an (n, dim) array, and concatenates
+along axis 1, one dim-element row at a time.  The column forms give the
+same bits.  The matrix products and ``einsum`` quadratic forms see
+operands laid out as before: einsum's summation order follows its
+operands' layout.  The samplers keep their whole-array mean add.
 """
 
 from __future__ import annotations
@@ -74,17 +75,6 @@ def _columns(n: int, dim: int):
     return np.empty((dim, n)).T
 
 
-def _minus(X, v):
-    """X - v for points X (n, dim) and a (dim,) vector v, one whole column
-    at a time, into an array laid out like X, as X - v would be (an einsum
-    over it sums in an order set by that layout)."""
-    X = np.atleast_2d(X)
-    out = np.empty_like(X, dtype=float)
-    for i, vi in enumerate(v):
-        np.subtract(X[:, i], vi, out=out[:, i])
-    return out
-
-
 def _axis_halfwidth(tail_mass: float, dim: int) -> float:
     # imported here: only the grid quadrature needs it, and it costs every
     # simulate and sweep 0.5 MB of RSS
@@ -120,7 +110,12 @@ class GaussianModel(DensityModel):
         self._log_norm = -0.5 * (self.dim * math.log(2.0 * math.pi) + logdet)
 
     def log_density(self, X):
-        d = _minus(X, self.mean)
+        # X - mean, column by column, laid out like X as X - mean would be:
+        # the einsum sums in an order set by that layout
+        X = np.atleast_2d(X)
+        d = np.empty_like(X, dtype=float)
+        for i, m in enumerate(self.mean):
+            np.subtract(X[:, i], m, out=d[:, i])
         q = np.einsum("ni,ni->n", d @ self.prec, d)
         return self._log_norm - 0.5 * q
 
@@ -304,17 +299,17 @@ class ShiftedModel(DensityModel):
 
     def __init__(self, base: DensityModel, shift):
         self.base = base
-        self.shift = np.broadcast_to(np.asarray(shift, dtype=float), (base.dim,))
+        self.shift = np.asarray(shift, dtype=float)
         self.dim = base.dim
 
     def log_density(self, X):
-        return self.base.log_density(_minus(X, self.shift))
+        return self.base.log_density(np.atleast_2d(X) - self.shift)
 
     def log_grad(self, X):
-        return self.base.log_grad(_minus(X, self.shift))
+        return self.base.log_grad(np.atleast_2d(X) - self.shift)
 
     def log_hess_quadform(self, X, U):
-        return self.base.log_hess_quadform(_minus(X, self.shift), U)
+        return self.base.log_hess_quadform(np.atleast_2d(X) - self.shift, U)
 
     def sample(self, rng, n):
         return self.base.sample(rng, n) + self.shift
