@@ -7,6 +7,8 @@ Every model works on batched points X of shape (n, dim) and exposes:
 * log_grad(X) -> (n, dim), the gradient of log f
 * log_hess_quadform(X, U) -> (n,), u^T Hess(log f) u for one direction per row
 * sample(rng, n) -> (n, dim)
+* sample_blocks(rng, n, rows) -> the rows of sample(rng, n) in order, as
+  blocks of at most ``rows`` rows
 * bounding_box(tail_mass) -> (lo, hi) covering all but tail_mass of the mass
 
 Models are normalized analytically (Gaussians, mixtures) and wrappers
@@ -19,7 +21,17 @@ numpy broadcasts a (dim,) vector over an (n, dim) array, and concatenates
 along axis 1, one dim-element row at a time.  The column forms give the
 same bits.  The matrix products and ``einsum`` quadratic forms see
 operands laid out as before: einsum's summation order follows its
-operands' layout.  The samplers keep their whole-array mean add.
+operands' layout.  The samplers still add the mean as one (dim,) broadcast
+per block.
+
+``sample_blocks`` lets a consumer hold one block of a draw at a time.  Its
+blocks joined equal ``sample(rng, n)`` bit for bit, and each block is
+C-contiguous with the strides of the matching row slice of that sample, so
+einsum sums it in the same order.  A block is a view of one reused buffer,
+valid until the next block is asked for.  The base class slices the whole
+draw; a Gaussian fills each block straight from the stream (its ``sample``
+is that same fill over blocks of a whole array); a tensor power draws its
+first j - 1 factors whole and streams its last factor from its base.
 """
 
 from __future__ import annotations
@@ -62,17 +74,34 @@ class DensityModel:
     def sample(self, rng, n):
         raise CapabilityError(f"{type(self).__name__} has no sampler")
 
+    def sample_blocks(self, rng, n, rows):
+        """sample(rng, n) in consecutive blocks of at most rows rows."""
+        X = self.sample(rng, n)
+        for start in range(0, n, rows):
+            yield X[start:start + rows]
+
     def bounding_box(self, tail_mass: float = 1e-8):
         raise CapabilityError(f"{type(self).__name__} has no bounding_box")
 
 
-_SAMPLE_ROWS = 2**16  # rows per in-place block of GaussianModel.sample
+_SAMPLE_ROWS = 2**16  # rows per in-place block of GaussianModel and TensorPower.sample
 
 
 def _columns(n: int, dim: int):
     """An empty (n, dim) float array stored column by column, so each of
     its columns is one contiguous run."""
     return np.empty((dim, n)).T
+
+
+def _put_rows(out, blocks):
+    """Write the blocks down the rows of out, one after another.
+
+    A function, so that the last block, which may be a view of a whole
+    draw, is released on return and not held through the next draw."""
+    start = 0
+    for block in blocks:
+        out[start:start + block.shape[0]] = block
+        start += block.shape[0]
 
 
 def _axis_halfwidth(tail_mass: float, dim: int) -> float:
@@ -95,6 +124,8 @@ class GaussianModel(DensityModel):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         self.dim = self.mean.size
         cov = np.asarray(cov, dtype=float)
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("Gaussian mean and covariance must be finite")
         if cov.ndim == 0:
             cov = np.full(self.dim, float(cov))
         if cov.ndim == 1:
@@ -130,15 +161,31 @@ class GaussianModel(DensityModel):
         U = np.atleast_2d(U)
         return -np.einsum("ni,ni->n", U @ self.prec, U)
 
+    def _fill(self, rng, block, n):
+        """Draw block in place as its rows of a draw of n: mean + Z @ L^T.
+
+        Row-block products equal the whole-array product bit for bit, except
+        that BLAS takes a one-row product through its matrix-vector kernel,
+        which rounds otherwise; so a lone row of a longer draw is doubled
+        into a two-row product.
+        """
+        rng.standard_normal(out=block)
+        z = np.repeat(block, 2, axis=0) if block.shape[0] == 1 and n > 1 else block
+        block[...] = (z @ self._chol.T)[:block.shape[0]]
+        block += self.mean
+
     def sample(self, rng, n):
-        # the Cholesky factor is applied in row blocks, in place: row-block
-        # products equal the whole-array product bit for bit
-        x = rng.standard_normal((n, self.dim))
+        x = np.empty((n, self.dim))
         for start in range(0, n, _SAMPLE_ROWS):
-            block = x[start:start + _SAMPLE_ROWS]
-            block[...] = block @ self._chol.T
-        x += self.mean
+            self._fill(rng, x[start:start + _SAMPLE_ROWS], n)
         return x
+
+    def sample_blocks(self, rng, n, rows):
+        buf = np.empty((min(rows, n), self.dim))
+        for start in range(0, n, rows):
+            block = buf[:n - start]
+            self._fill(rng, block, n)
+            yield block
 
     def bounding_box(self, tail_mass: float = 1e-8):
         z = _axis_halfwidth(tail_mass, self.dim)
@@ -151,6 +198,8 @@ class GaussianMixtureModel(DensityModel):
 
     def __init__(self, weights, means, covs):
         self.weights = np.asarray(weights, dtype=float)
+        if not np.all((self.weights >= 0.0) & np.isfinite(self.weights)):
+            raise ValueError(f"mixture weights must be finite and >= 0, got {self.weights}")
         if not np.isclose(self.weights.sum(), 1.0):
             raise ValueError("mixture weights must sum to 1")
         self.components = [GaussianModel(m, c) for m, c in zip(means, covs)]
@@ -221,8 +270,8 @@ class TensorPower(DensityModel):
     """F = base^{(x) j}: j independent copies laid out as consecutive blocks."""
 
     def __init__(self, base: DensityModel, j: int):
-        if j < 1:
-            raise ValueError("tensor power needs j >= 1")
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 1:
+            raise ValueError(f"tensor power needs an int j >= 1, got {j!r}")
         self.base = base
         self.j = j
         self.dim = base.dim * j
@@ -256,8 +305,24 @@ class TensorPower(DensityModel):
         out = np.empty((n, self.dim))
         d = self.base.dim
         for i in range(self.j):  # one factor at a time, in the order drawn
-            out[:, i * d:(i + 1) * d] = self.base.sample(rng, n)
+            _put_rows(out[:, i * d:(i + 1) * d],
+                      self.base.sample_blocks(rng, n, _SAMPLE_ROWS))
         return out
+
+    def sample_blocks(self, rng, n, rows):
+        if self.j == 1:
+            yield from self.base.sample_blocks(rng, n, rows)
+            return
+        d = self.base.dim
+        head = TensorPower(self.base, self.j - 1).sample(rng, n)
+        buf = np.empty((min(rows, n), self.dim))
+        start = 0
+        for tail in self.base.sample_blocks(rng, n, rows):
+            block = buf[:tail.shape[0]]
+            block[:, :-d] = head[start:start + tail.shape[0]]
+            block[:, -d:] = tail
+            start += tail.shape[0]
+            yield block
 
     def bounding_box(self, tail_mass: float = 1e-8):
         lo, hi = self.base.bounding_box(tail_mass / self.j)

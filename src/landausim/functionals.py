@@ -30,10 +30,11 @@ bit and D, J, K are exactly 0 (the difference form leaves ~1e-31).  Then
 All three are evaluated by Monte Carlo over samples of F, with alpha the
 regularized alpha_eta of a PotentialSpec and the pair singularity guarded
 (samples with |z| < 1e-12 are rejected and counted).
-The per-sample fields are formed over blocks of 16,384 consecutive samples
-and written into one preallocated array per result, bit-identical to one
-whole-array batch (``k_family`` at 2^20 samples peaks at 99 MB under
-tracemalloc, 302 MB as one batch).  Every per-sample operation runs over
+The per-sample fields are formed over blocks of 16,384 consecutive samples,
+drawn block by block with ``sample_blocks``, and written into one
+preallocated array per result, bit-identical to one whole-array batch
+(``k_family`` at 2^20 samples peaks at 74 MB under tracemalloc, 98 MB with
+the whole sample, 302 MB as one batch).  Every per-sample operation runs over
 whole columns: z, g, u1 and u2 are (n, 3) arrays stored column by column,
 z x g and the sums over k are written out per column, because numpy
 applies ``np.sum(axis=1)``, ``np.cross`` and (n, 3) slicing arithmetic one
@@ -243,18 +244,27 @@ def _seeded_sample(model: DensityModel, mc: MCSpec):
     return model.sample(np.random.default_rng(mc.seed), mc.n_samples)
 
 
-def _pair_fields(model: DensityModel, pot, X, fields):
+def _seeded_blocks(model: DensityModel, mc: MCSpec):
+    """_seeded_sample(model, mc) drawn in blocks of _MC_BLOCK rows."""
+    return model.sample_blocks(np.random.default_rng(mc.seed), mc.n_samples, _MC_BLOCK)
+
+
+def _row_blocks(X):
+    return (X[start:start + _MC_BLOCK] for start in range(0, X.shape[0], _MC_BLOCK))
+
+
+def _pair_fields(model: DensityModel, pot, blocks, n: int, fields):
     """Run fields(batch) -> tuple of per-sample arrays on a _PairBatch of each
-    block of _MC_BLOCK consecutive rows of X; returns the arrays over all
-    blocks (equal, bit for bit, to one batch over all of X) and the summed
-    n_rejected.  Each block's values are written at the running kept offset
-    of one preallocated array per field."""
+    of the blocks of consecutive sample rows (n rows in all); returns the
+    arrays over all blocks (equal, bit for bit, to one batch over all rows)
+    and the summed n_rejected.  Each block's values are written at the
+    running kept offset of one preallocated array per field."""
     outs, kept, n_rejected = None, 0, 0
-    for start in range(0, X.shape[0], _MC_BLOCK):
-        batch = _PairBatch(model, pot, X[start:start + _MC_BLOCK])
+    for X in blocks:
+        batch = _PairBatch(model, pot, X)
         cols = fields(batch)
         if outs is None:
-            outs = [np.empty(X.shape[0], dtype=col.dtype) for col in cols]
+            outs = [np.empty(n, dtype=col.dtype) for col in cols]
         for out, col in zip(outs, cols):
             out[kept:kept + batch.n] = col
         kept += batch.n
@@ -274,14 +284,14 @@ def entropy_production_D(model: DensityModel, pot, mc: MCSpec) -> FunctionalEsti
     """
     if model.dim == 3:
         model = TensorPower(model, 2)
-    (d,), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
+    (d,), nr = _pair_fields(model, pot, _seeded_blocks(model, mc), mc.n_samples,
                             lambda b: (b.d_samples(),))
     return _mc_estimate(d, nr)
 
 
 def J_functional(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
     """J(F) = int F sum_k (alpha/|z|^2) (bt_k . grad log F)^4."""
-    (j,), nr = _pair_fields(model, pot, _seeded_sample(model, mc),
+    (j,), nr = _pair_fields(model, pot, _seeded_blocks(model, mc), mc.n_samples,
                             lambda b: (b.j_samples(),))
     return _mc_estimate(j, nr)
 
@@ -322,7 +332,7 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
     if betas and _K_ANCHOR not in betas:  # the anchor of residual()
         betas.append(_K_ANCHOR)
     arrays, nr = _pair_fields(
-        model, pot, _seeded_sample(model, mc),
+        model, pot, _seeded_blocks(model, mc), mc.n_samples,
         lambda b: [b.k_samples(beta) for beta in betas] + [b.j_samples(), b.d_samples()])
     *ks, j, d = arrays
     samples = dict(zip(betas, ks), J=j)
@@ -376,6 +386,8 @@ def tensor_consistency_D(rho: DensityModel, j: int, pot, mc: MCSpec):
         raise ValueError("tensor consistency needs j >= 2")
     model_j = TensorPower(rho, j)
     X = _seeded_sample(model_j, mc)
-    runs = (_pair_fields(model_j, pot, X, lambda b: (b.d_samples(),)),
-            _pair_fields(TensorPower(rho, 2), pot, X[:, 0:6], lambda b: (b.d_samples(),)))
+    runs = (_pair_fields(model_j, pot, _row_blocks(X), mc.n_samples,
+                         lambda b: (b.d_samples(),)),
+            _pair_fields(TensorPower(rho, 2), pot, _row_blocks(X[:, 0:6]), mc.n_samples,
+                         lambda b: (b.d_samples(),)))
     return tuple(_mc_estimate(d, nr) for (d,), nr in runs)

@@ -9,8 +9,8 @@ from landausim.densities import (DensityModel, GaussianMixtureModel,
                                  GaussianModel, ScaledModel, ShiftedModel,
                                  TensorPower, check_log_grad_fd, grid_integrate)
 from landausim.errors import CapabilityError, CoverageError
-from landausim.functionals import entropy
-from landausim.reference import bimodal
+from landausim.functionals import _MC_BLOCK, entropy
+from landausim.reference import aniso_gauss, bimodal, maxwellian
 
 
 def _probe_points(model, rng, n=200):
@@ -44,6 +44,15 @@ def test_gaussian_validation():
         GaussianModel(np.zeros(3), np.eye(2))
     with pytest.raises(np.linalg.LinAlgError):
         GaussianModel(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])  # not PD
+
+
+@pytest.mark.parametrize("mean, cov", [
+    (np.zeros(3), [[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ([0.0, np.inf, 0.0], 1.0),
+], ids=["nan_cov", "inf_mean"])
+def test_gaussian_rejects_non_finite_parameters(mean, cov):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianModel(mean, cov)
 
 
 def test_gaussian_derivatives_fd(rng):
@@ -123,6 +132,14 @@ def test_mixture_weights_must_sum_to_one():
         GaussianMixtureModel([0.7, 0.7], [np.zeros(3)] * 2, [np.eye(3)] * 2)
 
 
+@pytest.mark.parametrize("weights", [[1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0]])
+def test_mixture_weights_must_be_finite_and_nonnegative(weights):
+    # [1.5, -0.5] sums to 1; it gave NaN log-densities and a late numpy
+    # error in sample
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        GaussianMixtureModel(weights, [np.zeros(3)] * 2, [np.eye(3)] * 2)
+
+
 def test_mixture_density_is_weighted_sum():
     mix = _bimodal()
     x = np.array([[0.2, -0.4, 1.0], [2.0, 0.0, 0.0]])
@@ -179,6 +196,14 @@ def test_tensor_power_blocks(rng):
         TensorPower(base, 0)
 
 
+@pytest.mark.parametrize("j", [2.0, True, "2"])
+def test_tensor_power_needs_an_int_power(j):
+    # TensorPower(base, 2.0) had dim 6.0 and died in sample with a TypeError
+    with pytest.raises(ValueError, match="int j"):
+        TensorPower(GaussianModel(np.zeros(3), 1.0), j)
+    assert TensorPower(GaussianModel(np.zeros(3), 1.0), np.int64(2)).dim == 6
+
+
 def test_tensor_power_sample_peak_is_its_output_and_one_factor(aniso):
     # joining the factors held both factors and the output (2.0x the
     # output); filling the output in place holds it, one factor and one
@@ -217,6 +242,56 @@ def test_mixture_sample_is_the_shuffled_join_of_its_component_draws():
                              if k > 0])
     expect = joined[rng.permutation(1001)]
     assert np.array_equal(model.sample(np.random.default_rng(4), 1001), expect)
+
+
+def _full_cov_gaussian():
+    cov = np.array([[2.0, 0.3, -0.4], [0.3, 0.5, -0.1], [-0.4, -0.1, 1.0]])
+    return GaussianModel([0.5, -1.0, 0.2], cov)
+
+
+def _streamed_models():
+    bases = {"maxwellian": maxwellian(1.0), "aniso": aniso_gauss(2.0, 0.5, 0.5),
+             "full_cov": _full_cov_gaussian()}
+    models = dict(bases)
+    for name, base in bases.items():
+        for j in (2, 3):
+            models[f"{name}^{j}"] = TensorPower(base, j)
+    models["bimodal^2"] = TensorPower(bimodal(3.0), 2)  # its base slices a whole draw
+    return models
+
+
+_STREAMED = _streamed_models()
+
+
+@pytest.mark.parametrize("n, rows", [
+    (1, _MC_BLOCK), (5, _MC_BLOCK), (5, 2), (_MC_BLOCK - 1, _MC_BLOCK),
+    (_MC_BLOCK, _MC_BLOCK), (_MC_BLOCK + 1, _MC_BLOCK), (2 * _MC_BLOCK + 3, _MC_BLOCK),
+    (2**16 + 1, _MC_BLOCK), (2**16 + 7, _MC_BLOCK)])
+@pytest.mark.parametrize("name", list(_STREAMED))
+def test_sample_blocks_join_to_the_sample(name, n, rows):
+    # einsum sums C- and F-ordered operands in different orders, so each
+    # block must also have the layout of its row slice of the whole sample
+    model = _STREAMED[name]
+    whole = model.sample(np.random.default_rng(n), n)
+    parts, start = [], 0
+    for block in model.sample_blocks(np.random.default_rng(n), n, rows):
+        assert 0 < block.shape[0] <= rows
+        assert block.flags.c_contiguous
+        assert block.strides == whole[start:start + block.shape[0]].strides
+        parts.append(block.copy())  # a block is valid until the next one
+        start += block.shape[0]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_gaussian_sample_lone_last_row_is_the_whole_array_formula():
+    # a one-row product would go through BLAS's matrix-vector kernel, which
+    # rounds otherwise than the whole-array product on about 4 rows in 10
+    # (seeds 1, 3 and 5 here)
+    m, n = _full_cov_gaussian(), 2**16 + 1
+    for seed in range(6):
+        z = np.random.default_rng(seed).standard_normal((n, 3))
+        expect = m.mean + z @ np.linalg.cholesky(m.cov).T
+        assert np.array_equal(m.sample(np.random.default_rng(seed), n), expect)
 
 
 def test_tensor_power_sample_is_the_factor_draws_side_by_side():

@@ -10,7 +10,7 @@ from landausim.densities import (DensityModel, GaussianModel, ScaledModel,
                                  ShiftedModel, TensorPower, grid_integrate)
 from landausim.errors import CapabilityError, ConfigError
 from landausim import functionals
-from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch,
+from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch, _row_blocks,
                                    beta_power_identity_probes, entropy,
                                    entropy_production_D, fisher_information,
                                    grid_functionals, k_family, tensor_consistency_D)
@@ -551,8 +551,7 @@ def test_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
 _BLOCKED_N = 2 * _MC_BLOCK + 3  # the last block holds 3 samples
 
 
-def _pair_functional_results(model, pot, betas):
-    mc = MCSpec(_BLOCKED_N, 0)
+def _pair_functional_results(model, pot, betas, mc=MCSpec(_BLOCKED_N, 0)):
     fam = k_family(model, betas, pot, mc)
     return {"D": entropy_production_D(model, pot, mc), "J": J_functional(model, pot, mc),
             "family": (fam.estimates, fam.J, fam.D, fam.n, fam.n_rejected,
@@ -564,7 +563,8 @@ def test_blocked_pair_fields_equal_one_whole_batch(monkeypatch, pot_gm2, preset)
     model = TensorPower(resolve_preset(preset), 2)
     X = model.sample(np.random.default_rng(8), _BLOCKED_N)
     X[[5, -2], 3:6] = X[[5, -2], 0:3]  # coincident pairs in the first and last block
-    monkeypatch.setattr(functionals, "_seeded_sample", lambda model, mc: X)
+    # the seeded blocks are this array's rows in blocks of _MC_BLOCK
+    monkeypatch.setattr(functionals, "_seeded_blocks", lambda model, mc: _row_blocks(X))
     betas = [0.0, 0.5, 1.0]
     blocked = _pair_functional_results(model, pot_gm2, betas)
     assert blocked["family"][3:5] == (_BLOCKED_N - 2, 2)
@@ -595,6 +595,25 @@ def test_k_family_memory_peak_is_bounded(aniso_pair, pot_gm2):
     peak = _traced_peak(lambda: k_family(aniso_pair, [0.0, 1.0 / 3.0, 1.0], pot_gm2,
                                          MCSpec(2**18, 1)))
     assert peak < 35e6, peak
+
+
+def test_k_family_streams_its_last_sample_factor(aniso_pair, pot_gm2):
+    # the whole (2^18, 6) sample peaked at 28.9 MB; streaming the second
+    # factor in blocks holds the first factor (6.3 MB) instead: 23.8 MB
+    peak = _traced_peak(lambda: k_family(aniso_pair, [0.0, 1.0 / 3.0, 1.0], pot_gm2,
+                                         MCSpec(2**18, 1)))
+    assert peak < 26e6, peak
+
+
+@pytest.mark.parametrize("model", [_full_covariance_pair(), TensorPower(bimodal(3.0), 3)],
+                         ids=["full_cov_gaussian", "bimodal_cube"])
+def test_streamed_sample_gives_the_whole_sample_results(monkeypatch, model, pot_gm2):
+    # a lone last row (n = _MC_BLOCK + 1) and a three-factor tensor power
+    mc = MCSpec(_MC_BLOCK + 1, 3)
+    streamed = _pair_functional_results(model, pot_gm2, [0.0, 1.0], mc)
+    monkeypatch.setattr(functionals, "_seeded_blocks",
+                        lambda model, mc: _row_blocks(functionals._seeded_sample(model, mc)))
+    assert _pair_functional_results(model, pot_gm2, [0.0, 1.0], mc) == streamed
 
 
 def test_grid_functionals_memory_peak_is_one_chunk(aniso):
