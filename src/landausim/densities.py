@@ -14,15 +14,14 @@ Every model works on batched points X of shape (n, dim) and exposes:
 Models are normalized analytically (Gaussians, mixtures) and wrappers
 (tensor powers, dilations, translations) preserve normalization exactly.
 
-The Gaussian, mixture and tensor-power densities and gradients run over
-whole columns: centering at a mean, weighting by mixture responsibilities
-and joining tensor blocks go one column of n values at a time, because
-numpy broadcasts a (dim,) vector over an (n, dim) array, and concatenates
-along axis 1, one dim-element row at a time.  The column forms give the
-same bits.  The matrix products and ``einsum`` quadratic forms see
-operands laid out as before: einsum's summation order follows its
-operands' layout.  The samplers still add the mean as one (dim,) broadcast
-per block.
+The Gaussian, mixture and tensor-power densities, gradients and samplers
+run over whole columns: centering at a mean, adding it to a draw, weighting
+by mixture responsibilities and joining tensor blocks go one column of n
+values at a time, because numpy broadcasts a (dim,) vector over an (n, dim)
+array, and concatenates along axis 1, one dim-element row at a time.  The
+column forms give the same bits.  The matrix products and ``einsum``
+quadratic forms see operands laid out as before: einsum's summation order
+follows its operands' layout.
 
 ``sample_blocks`` lets a consumer hold one block of a draw at a time.  Its
 blocks joined equal ``sample(rng, n)`` bit for bit, and each block is
@@ -172,7 +171,8 @@ class GaussianModel(DensityModel):
         rng.standard_normal(out=block)
         z = np.repeat(block, 2, axis=0) if block.shape[0] == 1 and n > 1 else block
         block[...] = (z @ self._chol.T)[:block.shape[0]]
-        block += self.mean
+        for i, m in enumerate(self.mean):
+            block[:, i] += m
 
     def sample(self, rng, n):
         x = np.empty((n, self.dim))
@@ -333,10 +333,10 @@ class ScaledModel(DensityModel):
     """Dilation f_lam(x) = lam^dim f(lam x); lam > 1 concentrates the mass."""
 
     def __init__(self, base: DensityModel, lam: float):
-        if lam <= 0:
-            raise ValueError("scale must be positive")
-        self.base = base
         self.lam = float(lam)
+        if not 0.0 < self.lam < math.inf:  # a NaN scale fails too
+            raise ValueError(f"scale must be finite and positive, got {lam!r}")
+        self.base = base
         self.dim = base.dim
 
     def log_density(self, X):
@@ -366,6 +366,8 @@ class ShiftedModel(DensityModel):
         self.base = base
         self.shift = np.asarray(shift, dtype=float)
         self.dim = base.dim
+        if self.shift.shape != (self.dim,) or not np.all(np.isfinite(self.shift)):
+            raise ValueError(f"shift must be {self.dim} finite values, got {shift!r}")
 
     def log_density(self, X):
         return self.base.log_density(np.atleast_2d(X) - self.shift)

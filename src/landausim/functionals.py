@@ -30,21 +30,21 @@ bit and D, J, K are exactly 0 (the difference form leaves ~1e-31).  Then
 All three are evaluated by Monte Carlo over samples of F, with alpha the
 regularized alpha_eta of a PotentialSpec and the pair singularity guarded
 (samples with |z| < 1e-12 are rejected and counted).
-The per-sample fields are formed over blocks of 16,384 consecutive samples,
-drawn block by block with ``sample_blocks``, and written into one
-preallocated array per result, bit-identical to one whole-array batch
-(``k_family`` at 2^20 samples peaks at 74 MB under tracemalloc, 98 MB with
-the whole sample, 302 MB as one batch).  Every per-sample operation runs over
-whole columns: z, g, u1 and u2 are (n, 3) arrays stored column by column,
-z x g and the sums over k are written out per column, because numpy
-applies ``np.sum(axis=1)``, ``np.cross`` and (n, 3) slicing arithmetic one
-3-element row at a time, several times slower.  Each column formula
-keeps numpy's order, (c0 + c1) + c2 for a sum, so the values keep their
-bits.  Entropy and Fisher use tensor-grid
-trapezoid quadrature on 3D models, on a fixed grid of 129^3 points over the
-box that holds all but 1e-9 of the mass: one fine pass checks the mass and
-integrates H and I together, one 65^3 pass gives their error scale, and
-tensor powers delegate exactly to their base.
+``k_family`` is the one Monte Carlo pass, and D and J are views of it: it
+draws the seeded sample in blocks of 16,384 samples with ``sample_blocks``
+and writes K_beta, J and D into one preallocated array per result,
+bit-identical to one whole-array batch (2^20 samples peak at 74 MB under
+tracemalloc, 98 MB with the whole sample, 302 MB as one batch).  Every
+per-sample operation runs over whole columns: z, g, u1 and u2 are (n, 3)
+arrays stored column by column, z x g and the sums over k are written out
+per column, because numpy applies ``np.sum(axis=1)``, ``np.cross`` and
+(n, 3) slicing arithmetic one 3-element row at a time, several times slower.
+Each column formula keeps numpy's order, (c0 + c1) + c2 for a sum, so the
+values keep their bits.  Entropy and Fisher use tensor-grid trapezoid
+quadrature on 3D models, on a fixed grid of 129^3 points over the box that
+holds all but 1e-9 of the mass: one fine pass checks the mass and integrates
+H and I together, one 65^3 pass gives their error scale, and tensor powers
+delegate exactly to their base.
 """
 
 from __future__ import annotations
@@ -240,38 +240,6 @@ def _pair_difference(A):
     return out
 
 
-def _seeded_sample(model: DensityModel, mc: MCSpec):
-    return model.sample(np.random.default_rng(mc.seed), mc.n_samples)
-
-
-def _seeded_blocks(model: DensityModel, mc: MCSpec):
-    """_seeded_sample(model, mc) drawn in blocks of _MC_BLOCK rows."""
-    return model.sample_blocks(np.random.default_rng(mc.seed), mc.n_samples, _MC_BLOCK)
-
-
-def _row_blocks(X):
-    return (X[start:start + _MC_BLOCK] for start in range(0, X.shape[0], _MC_BLOCK))
-
-
-def _pair_fields(model: DensityModel, pot, blocks, n: int, fields):
-    """Run fields(batch) -> tuple of per-sample arrays on a _PairBatch of each
-    of the blocks of consecutive sample rows (n rows in all); returns the
-    arrays over all blocks (equal, bit for bit, to one batch over all rows)
-    and the summed n_rejected.  Each block's values are written at the
-    running kept offset of one preallocated array per field."""
-    outs, kept, n_rejected = None, 0, 0
-    for X in blocks:
-        batch = _PairBatch(model, pot, X)
-        cols = fields(batch)
-        if outs is None:
-            outs = [np.empty(n, dtype=col.dtype) for col in cols]
-        for out, col in zip(outs, cols):
-            out[kept:kept + batch.n] = col
-        kept += batch.n
-        n_rejected += batch.n_rejected
-    return [out[:kept] for out in outs], n_rejected
-
-
 def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
@@ -284,16 +252,12 @@ def entropy_production_D(model: DensityModel, pot, mc: MCSpec) -> FunctionalEsti
     """
     if model.dim == 3:
         model = TensorPower(model, 2)
-    (d,), nr = _pair_fields(model, pot, _seeded_blocks(model, mc), mc.n_samples,
-                            lambda b: (b.d_samples(),))
-    return _mc_estimate(d, nr)
+    return k_family(model, [], pot, mc).D
 
 
 def J_functional(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
     """J(F) = int F sum_k (alpha/|z|^2) (bt_k . grad log F)^4."""
-    (j,), nr = _pair_fields(model, pot, _seeded_blocks(model, mc), mc.n_samples,
-                            lambda b: (b.j_samples(),))
-    return _mc_estimate(j, nr)
+    return k_family(model, [], pot, mc).J
 
 
 @dataclass
@@ -325,16 +289,28 @@ class KFamilyResult:
 
 
 def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
-    """Evaluate K_beta for several beta in [0, 1], J and D on one shared sample set."""
+    """Evaluate K_beta for several beta in [0, 1], J and D on one shared sample set.
+
+    Each block of _MC_BLOCK seeded sample rows writes its values at the
+    running kept offset of one array per result (bit for bit one batch).
+    """
     betas = list(betas)
     for beta in betas:
         _check_beta(beta)
     if betas and _K_ANCHOR not in betas:  # the anchor of residual()
         betas.append(_K_ANCHOR)
-    arrays, nr = _pair_fields(
-        model, pot, _seeded_blocks(model, mc), mc.n_samples,
-        lambda b: [b.k_samples(beta) for beta in betas] + [b.j_samples(), b.d_samples()])
-    *ks, j, d = arrays
+    n = mc.n_samples
+    ks, j, d = [np.empty(n) for _ in betas], np.empty(n), np.empty(n)
+    kept = nr = 0
+    for X in model.sample_blocks(np.random.default_rng(mc.seed), n, _MC_BLOCK):
+        batch = _PairBatch(model, pot, X)
+        rows = slice(kept, kept + batch.n)
+        for out, beta in zip(ks, betas):
+            out[rows] = batch.k_samples(beta)
+        j[rows], d[rows] = batch.j_samples(), batch.d_samples()
+        kept += batch.n
+        nr += batch.n_rejected
+    ks, j, d = [k[:kept] for k in ks], j[:kept], d[:kept]
     samples = dict(zip(betas, ks), J=j)
     estimates = {beta: _mc_estimate(samples[beta], nr) for beta in betas}
     return KFamilyResult(estimates=estimates, J=_mc_estimate(j, nr),
@@ -378,16 +354,13 @@ def beta_power_identity_probes(model: DensityModel, pot, beta: float, X) -> floa
 def tensor_consistency_D(rho: DensityModel, j: int, pot, mc: MCSpec):
     """D evaluated on rho^(x j) and on rho^(x 2) with shared pair marginals.
 
-    The integrand only involves the first two blocks, so the two estimates
+    A tensor power draws factor-major, one factor over all rows after
+    another, also in streamed blocks, so the seeded draw of rho^(x j) holds
+    the seeded draw of rho^(x 2) in its first two factors, bit for bit.  The
+    integrand only involves the first two blocks, so the two estimates
     agree exactly up to floating-point rounding; returned as
     (estimate_j, estimate_pair).
     """
     if j < 2:
         raise ValueError("tensor consistency needs j >= 2")
-    model_j = TensorPower(rho, j)
-    X = _seeded_sample(model_j, mc)
-    runs = (_pair_fields(model_j, pot, _row_blocks(X), mc.n_samples,
-                         lambda b: (b.d_samples(),)),
-            _pair_fields(TensorPower(rho, 2), pot, _row_blocks(X[:, 0:6]), mc.n_samples,
-                         lambda b: (b.d_samples(),)))
-    return tuple(_mc_estimate(d, nr) for (d,), nr in runs)
+    return tuple(entropy_production_D(TensorPower(rho, k), pot, mc) for k in (j, 2))

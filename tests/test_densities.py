@@ -283,6 +283,29 @@ def test_sample_blocks_join_to_the_sample(name, n, rows):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+def _joined(blocks):
+    return np.concatenate([block.copy() for block in blocks])  # each valid until the next
+
+
+@pytest.mark.parametrize("n", [5, _MC_BLOCK + 1, 40_000])
+@pytest.mark.parametrize("j", [3, 5])
+@pytest.mark.parametrize("make_base", [lambda: aniso_gauss(2.0, 0.5, 0.5), _full_cov_gaussian,
+                                       lambda: bimodal(3.0)],
+                         ids=["aniso", "full_cov", "bimodal"])
+def test_seeded_pair_draw_is_the_first_two_factors_of_the_j_power(make_base, j, n):
+    # tensor_consistency_D compares D on two seeded draws: rho^(x j)'s first
+    # two factors must be rho^(x 2)'s draw, whole or streamed
+    base = make_base()
+    pair, power = TensorPower(base, 2), TensorPower(base, j)
+    pairs = (pair.sample(np.random.default_rng(n), n),
+             _joined(pair.sample_blocks(np.random.default_rng(n), n, _MC_BLOCK)))
+    powers = (power.sample(np.random.default_rng(n), n),
+              _joined(power.sample_blocks(np.random.default_rng(n), n, _MC_BLOCK)))
+    for X in pairs:
+        for Y in powers:
+            assert np.array_equal(X, Y[:, 0:6])
+
+
 def test_gaussian_sample_lone_last_row_is_the_whole_array_formula():
     # a one-row product would go through BLAS's matrix-vector kernel, which
     # rounds otherwise than the whole-array product on about 4 rows in 10
@@ -383,6 +406,24 @@ def test_shifted_model(rng):
     lo0, hi0 = base.bounding_box()
     np.testing.assert_allclose(lo, lo0 + shift)
     np.testing.assert_allclose(hi, hi0 + shift)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_scaled_model_rejects_a_scale_that_is_not_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="scale"):
+        ScaledModel(maxwellian(1.0), lam)
+
+
+@pytest.mark.parametrize("shift", [[math.inf, 0.0, 0.0], [0.0, math.nan, 0.0]])
+def test_shifted_model_rejects_a_shift_that_is_not_finite(shift):
+    with pytest.raises(ValueError, match="shift"):
+        ShiftedModel(maxwellian(1.0), shift)
+
+
+@pytest.mark.parametrize("shift", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+def test_shifted_model_rejects_a_shift_of_the_wrong_length(shift):
+    with pytest.raises(ValueError, match="shift"):
+        ShiftedModel(maxwellian(1.0), shift)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from landausim.densities import (DensityModel, GaussianModel, ScaledModel,
                                  ShiftedModel, TensorPower, grid_integrate)
 from landausim.errors import CapabilityError, ConfigError
 from landausim import functionals
-from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch, _row_blocks,
+from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch,
                                    beta_power_identity_probes, entropy,
                                    entropy_production_D, fisher_information,
                                    grid_functionals, k_family, tensor_consistency_D)
@@ -494,6 +494,21 @@ def test_k_family_bits_are_frozen(name, aniso_pair, pot_gm2):
     assert got == _FROZEN_K_FAMILY[name]
 
 
+def test_pair_functional_views_are_frozen(aniso, pot_gm2):
+    # D on a 3D model (its pair lift), J on a full-covariance pair with a
+    # lone last row, and the tensor check on a mixture, as k_family's views
+    def frozen(est):
+        return (est.value, est.abs_error, est.n, est.n_rejected)
+
+    assert frozen(entropy_production_D(aniso, pot_gm2, MCSpec(20_000, 4))) \
+        == (0.8731090183598084, 0.006917425547352413, 20_000, 0)
+    assert frozen(J_functional(_full_covariance_pair(), pot_gm2, MCSpec(_MC_BLOCK + 1, 6))) \
+        == (2.0948300230042842, 0.035077587998293205, _MC_BLOCK + 1, 0)
+    pair = (0.47373892442669313, 0.004883797043499643, _MC_BLOCK + 1, 0)
+    assert tuple(map(frozen, tensor_consistency_D(bimodal(3.0), 3, pot_gm2,
+                                                  MCSpec(_MC_BLOCK + 1, 7)))) == (pair, pair)
+
+
 def test_k_family_D_and_J_match_separate_estimates(aniso_pair, pot_gm2):
     mc = MCSpec(20_000, 5)
     fam = k_family(aniso_pair, [0.0, 1.0], pot_gm2, mc)
@@ -551,6 +566,10 @@ def test_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
 _BLOCKED_N = 2 * _MC_BLOCK + 3  # the last block holds 3 samples
 
 
+def _row_blocks(X, rows):
+    return (X[start:start + rows] for start in range(0, X.shape[0], rows))
+
+
 def _pair_functional_results(model, pot, betas, mc=MCSpec(_BLOCKED_N, 0)):
     fam = k_family(model, betas, pot, mc)
     return {"D": entropy_production_D(model, pot, mc), "J": J_functional(model, pot, mc),
@@ -563,8 +582,8 @@ def test_blocked_pair_fields_equal_one_whole_batch(monkeypatch, pot_gm2, preset)
     model = TensorPower(resolve_preset(preset), 2)
     X = model.sample(np.random.default_rng(8), _BLOCKED_N)
     X[[5, -2], 3:6] = X[[5, -2], 0:3]  # coincident pairs in the first and last block
-    # the seeded blocks are this array's rows in blocks of _MC_BLOCK
-    monkeypatch.setattr(functionals, "_seeded_blocks", lambda model, mc: _row_blocks(X))
+    # the seeded blocks are this array's rows in blocks of the rows asked for
+    monkeypatch.setattr(model, "sample_blocks", lambda rng, n, rows: _row_blocks(X, rows))
     betas = [0.0, 0.5, 1.0]
     blocked = _pair_functional_results(model, pot_gm2, betas)
     assert blocked["family"][3:5] == (_BLOCKED_N - 2, 2)
@@ -611,8 +630,8 @@ def test_streamed_sample_gives_the_whole_sample_results(monkeypatch, model, pot_
     # a lone last row (n = _MC_BLOCK + 1) and a three-factor tensor power
     mc = MCSpec(_MC_BLOCK + 1, 3)
     streamed = _pair_functional_results(model, pot_gm2, [0.0, 1.0], mc)
-    monkeypatch.setattr(functionals, "_seeded_blocks",
-                        lambda model, mc: _row_blocks(functionals._seeded_sample(model, mc)))
+    # the base class's blocks slice one whole draw
+    monkeypatch.setattr(model, "sample_blocks", DensityModel.sample_blocks.__get__(model))
     assert _pair_functional_results(model, pot_gm2, [0.0, 1.0], mc) == streamed
 
 
