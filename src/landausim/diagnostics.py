@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import DensityModel, GaussianModel, grid_integrate
-from .dynamics import Trajectory, _PairWalk
+from .dynamics import Trajectory, _PairWalk, _feed_pairs
 from .errors import ConfigError, StrideError
 from .estimators import EmpiricalMeasure
 from .potentials import _power
@@ -33,7 +33,7 @@ from .smoothstep import smoothstep, smoothstep_d1, smoothstep_d2
 __all__ = [
     "GaussianBumpFn", "ConstantFn", "AffineFn", "QuadraticFn", "RadialBumpFn",
     "TestFunctionDictionary", "default_dictionary", "bl_distance",
-    "holder_seminorm", "weak_form_residual", "BumpWeakIntegrand",
+    "holder_seminorm", "weak_form_residual", "WeakIntegrand", "BumpWeakIntegrand",
     "recorded_weak_residual", "bump_h",
     "is_delta_nonaligned", "NonAlignedTriple", "find_nonaligned_triple",
     "ball_mass", "iota", "increment_scaling_exponent",
@@ -289,6 +289,8 @@ def holder_seminorm(times, measures) -> float:
     times = np.asarray(times, dtype=float)
     if len(times) != len(measures) or len(times) < 2:
         raise ConfigError("need matching times/measures with at least two entries")
+    if not np.all(np.isfinite(times)) or np.unique(times).size != times.size:
+        raise ConfigError("times must be finite and distinct")
     dic = default_dictionary()
     table = np.stack([dic.integrals(m) for m in measures], axis=1)  # (n_phi, S)
     best = 0.0
@@ -333,54 +335,20 @@ def weak_form_residual(traj: Trajectory, phi, t: float) -> float:
           - grad phi(V_j)) + alpha(|z_ij|) a(z_ij) : Hess phi(V_i) ] ds
 
     with the bare alpha(r) = r^gamma, gamma that of the trajectory's config,
-    and b(z) = -2 alpha z; the time integral is a trapezoid over the recorded
-    snapshots.  For phi constant the residual is exactly zero; for affine phi
-    it reduces to momentum conservation.
+    and b(z) = -2 alpha z, each snapshot's from a `WeakIntegrand` pass; the
+    time integral is a trapezoid over the recorded snapshots.  For phi
+    constant the residual is exactly zero; for affine phi it reduces to
+    momentum conservation.
     """
-    gamma = traj.config.gamma
     idx = traj._index_at(t)
-    times = traj.times
-    if abs(times[0]) > 1e-12:
+    if abs(traj.times[0]) > 1e-12:
         raise StrideError("trajectory does not start at t=0")
-
-    n = traj.snapshots[0].n
-    walk = _PairWalk(n)
+    walk = _PairWalk(traj.snapshots[0].n)
     vals = np.empty(idx + 1)
-    for m in range(idx + 1):
-        v = traj.snapshots[m].v
-        g = phi.grad(v).T.copy()  # one row per coordinate, for one-dimensional gathers
-        h = phi.hess(v)
-        # one row per unique entry: H_cc, and H_cd + H_dc for c < d
-        hu = np.stack([h[:, c, d] + h[:, d, c] if c != d else h[:, c, c]
-                       for c, d in _HESS_ENTRIES])
-        term_b = term_a = 0.0
-        for _, iu, ju, z, r2, ((alpha, acc, a, b, t, _), far) in walk.blocks(v):
-            _bare_alpha(r2, gamma, alpha, acc, far)
-            # z . (grad phi_i - grad phi_j)
-            acc.fill(0.0)
-            for c in range(3):
-                _take(g[c], iu, a)
-                a -= _take(g[c], ju, b)
-                acc += np.multiply(a, z[c], out=a)
-            term_b -= 2.0 * _dot(alpha, acc)
-            # a(z) : (H_i + H_j)
-            #   = sum_c H_cc sum_{e != c} z_e^2 - sum_{c < d} (H_cd + H_dc) z_c z_d
-            acc.fill(0.0)
-            for k, (c, d) in enumerate(_HESS_ENTRIES):
-                _take(hu[k], iu, a)
-                a += _take(hu[k], ju, b)
-                if c == d:
-                    e, f = (x for x in range(3) if x != c)
-                    np.multiply(z[e], z[e], out=b)
-                    b += np.multiply(z[f], z[f], out=t)
-                    acc += np.multiply(a, b, out=a)
-                else:
-                    acc -= np.multiply(a, np.multiply(z[c], z[d], out=b), out=a)
-            term_a += _dot(alpha, acc)
-        # term_b and term_a already hold the ordered-pair sums of the
-        # gradient and Hessian contributions; the gradient bracket is applied
-        # per ordered pair, so it alone picks up a second factor of two
-        vals[m] = (2.0 * term_b + term_a) / n**2
+    for m, s in enumerate(traj.snapshots[: idx + 1]):
+        integrand = WeakIntegrand(phi, traj.config.gamma, s.v)
+        _feed_pairs(s.v, [integrand], walk)
+        vals[m] = integrand.row()["weak_integrand"]
     return _residual(traj, phi, vals)
 
 
@@ -388,26 +356,69 @@ def _residual(traj: Trajectory, phi, vals) -> float:
     """-int phi dmu_t + int phi dmu_0 + the trapezoid of the integrand vals
     over the first len(vals) snapshots, t being the last of them."""
     idx = len(vals) - 1
-    times = traj.times
-    integral = float(np.trapezoid(vals, times[: idx + 1])) if idx > 0 else 0.0
+    integral = float(np.trapezoid(vals, traj.times[: idx + 1])) if idx > 0 else 0.0
     mean_t = float(np.mean(phi.value(traj.snapshots[idx].v)))
     mean_0 = float(np.mean(phi.value(traj.snapshots[0].v)))
     return -mean_t + mean_0 + integral
 
 
+class WeakIntegrand:
+    """Pair consumer: the snapshot integrand of `weak_form_residual` for any
+    C^2 phi over a pair pass of the cloud v; row() gives {"weak_integrand":
+    value}.  The temporaries live in each block's spare."""
+
+    def __init__(self, phi, gamma: float, v):
+        self.gamma = gamma
+        self.g = phi.grad(v).T.copy()  # one row per coordinate, for one-dimensional gathers
+        h = phi.hess(v)
+        # one row per unique entry: H_cc, and H_cd + H_dc for c < d
+        self.hu = np.stack([h[:, c, d] + h[:, d, c] if c != d else h[:, c, c]
+                            for c, d in _HESS_ENTRIES])
+        self.n = v.shape[0]
+        self.term_b = self.term_a = 0.0
+
+    def add(self, iu, ju, z, r2, spare):
+        (alpha, acc, a, b, t, _), far = spare
+        _bare_alpha(r2, self.gamma, alpha, acc, far)
+        # z . (grad phi_i - grad phi_j)
+        acc.fill(0.0)
+        for c in range(3):
+            _take(self.g[c], iu, a)
+            a -= _take(self.g[c], ju, b)
+            acc += np.multiply(a, z[c], out=a)
+        self.term_b -= 2.0 * _dot(alpha, acc)
+        # a(z) : (H_i + H_j)
+        #   = sum_c H_cc sum_{e != c} z_e^2 - sum_{c < d} (H_cd + H_dc) z_c z_d
+        acc.fill(0.0)
+        for k, (c, d) in enumerate(_HESS_ENTRIES):
+            _take(self.hu[k], iu, a)
+            a += _take(self.hu[k], ju, b)
+            if c == d:
+                e, f = (x for x in range(3) if x != c)
+                np.multiply(z[e], z[e], out=b)
+                b += np.multiply(z[f], z[f], out=t)
+                acc += np.multiply(a, b, out=a)
+            else:
+                acc -= np.multiply(a, np.multiply(z[c], z[d], out=b), out=a)
+        self.term_a += _dot(alpha, acc)
+
+    def row(self) -> dict:
+        # term_b and term_a hold the ordered-pair sums of the gradient and
+        # Hessian contributions; the gradient bracket is applied per ordered
+        # pair, so it alone picks up a second factor of two
+        return {"weak_integrand": (2.0 * self.term_b + self.term_a) / self.n**2}
+
+
 class BumpWeakIntegrand:
-    """Pair consumer: the snapshot integrand of `weak_form_residual` for a
-    Gaussian bump phi, with the bare alpha = r^gamma, on the blocks of a pair
-    pass over the cloud v.
+    """Pair consumer: `WeakIntegrand` for a Gaussian bump phi, with the same
+    row and no 3x3 Hessian gathered.
 
     With d_i = V_i - c and s the bump's scale, grad phi_i = -phi_i d_i / s^2
-    and a(z) : Hess phi_i = phi_i |z x d_i|^2 / s^4 - 2 phi_i |z|^2 / s^2, so
-    no 3x3 Hessian is gathered.  By Lagrange's identity
-    |z x d_i|^2 = |z|^2 |d_i|^2 - u_i^2 with u_i = z . d_i, and u_j = u_i - |z|^2,
-    so a pair adds alpha [phi_i (|z|^2 (|d_i|^2 - 2 s^2) + u_i (4 s^2 - u_i))
-    + phi_j (|z|^2 (|d_j|^2 - 2 s^2) - u_j (4 s^2 + u_j))] / (N^2 s^4).
-    row() gives {"weak_integrand": value}.  The temporaries live in each
-    block's spare.
+    and a(z) : Hess phi_i = phi_i |z x d_i|^2 / s^4 - 2 phi_i |z|^2 / s^2; by
+    Lagrange's identity |z x d_i|^2 = |z|^2 |d_i|^2 - u_i^2 with u_i = z . d_i,
+    and u_j = u_i - |z|^2, so a pair adds alpha [phi_i (|z|^2 (|d_i|^2 - 2 s^2)
+    + u_i (4 s^2 - u_i)) + phi_j (|z|^2 (|d_j|^2 - 2 s^2) - u_j (4 s^2 + u_j))]
+    / (N^2 s^4).
     """
 
     def __init__(self, phi: GaussianBumpFn, gamma: float, v):
@@ -442,16 +453,21 @@ class BumpWeakIntegrand:
         return {"weak_integrand": self.total * self.norm}
 
 
-def recorded_weak_residual(traj: Trajectory, phi: GaussianBumpFn) -> float:
+def recorded_weak_residual(traj: Trajectory, phi) -> float:
     """`weak_form_residual(traj, phi, traj.times[-1])` from the
-    "weak_integrand" column that BumpWeakIntegrand wrote into every
-    diagnostics row of the run."""
+    "weak_integrand" column that a `WeakIntegrand` or `BumpWeakIntegrand`
+    pair observer wrote into every diagnostics row of the run."""
     return _residual(traj, phi, np.array([row["weak_integrand"]
                                           for row in traj.diagnostics]))
 
 
 # ---------------------------------------------------------------------------
 # non-alignment of triples, ball masses, iota
+
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ConfigError(f"delta must be finite and > 0, got {delta}")
+
 
 def is_delta_nonaligned(v1, v2, v3, delta: float):
     """Quantitative non-alignment test.
@@ -461,6 +477,7 @@ def is_delta_nonaligned(v1, v2, v3, delta: float):
     (ok, (margin_separation, margin_transverse)); both margins nonnegative
     exactly when the triple is delta-non-aligned.
     """
+    _check_delta(delta)
     m1, m2 = _triple_margins_batch(*np.asarray([v1, v2, v3], dtype=float)[:, None], delta)
     return bool(m1[0] >= 0.0 and m2[0] >= 0.0), (float(m1[0]), float(m2[0]))
 
@@ -483,6 +500,7 @@ class NonAlignedTriple:
 
 def ball_mass(target, center, delta: float) -> float:
     """int h((w - center)/delta) d(target), the smoothed mass near center."""
+    _check_delta(delta)
     center = np.asarray(center, dtype=float)
     return _integral(target, lambda X: bump_h((X - center) / delta),
                      center - 1.5 * delta, center + 1.5 * delta)
@@ -523,6 +541,7 @@ def find_nonaligned_triple(target, delta: float, radius: float,
     kappa, which is certain once kappa exceeds sup(density) * delta^3 * int h,
     the bound on every ball mass.
     """
+    _check_delta(delta)
     if 6.0 * math.sqrt(delta) > 2.0 * radius:
         return None  # no pair inside the ball can be separated enough
     spacing = max(2.0 * math.sqrt(delta), radius / 6.0)
@@ -572,7 +591,10 @@ def increment_scaling_exponent(times, values, statistic: str = "median") -> dict
     values = np.asarray(values, dtype=float)
     if times.size != values.size or times.size < 5:
         raise ConfigError("need at least 5 samples")
-    stat = {"median": np.median, "max": np.max}[statistic]
+    stats = {"median": np.median, "max": np.max}
+    if statistic not in stats:
+        raise ConfigError(f"statistic must be 'median' or 'max', got {statistic!r}")
+    stat = stats[statistic]
     lags, amps = [], []
     lag = 1
     while lag <= (times.size - 1) // 2:

@@ -402,8 +402,10 @@ class Trajectory:
     def _index_at(self, t: float) -> int:
         """Index of the snapshot recorded at t (to 1e-9); StrideError if none is."""
         times = self.times
+        if times.size == 0:
+            raise StrideError("trajectory has no snapshots")
         k = int(np.argmin(np.abs(times - t)))
-        if abs(times[k] - t) > _SNAPSHOT_TOL:
+        if not abs(times[k] - t) <= _SNAPSHOT_TOL:
             raise StrideError(
                 f"t={t} not on the snapshot grid (nearest {times[k]}); "
                 "reduce snapshot_stride")

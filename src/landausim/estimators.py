@@ -27,6 +27,8 @@ class EmpiricalMeasure:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ConfigError("EmpiricalMeasure needs points of shape (N, 3)")
+        if not np.all(np.isfinite(self.points)):
+            raise ConfigError("EmpiricalMeasure needs finite points")
 
     @property
     def n(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 import landausim.diagnostics as diagnostics
 from landausim.diagnostics import (AffineFn, BumpWeakIntegrand, ConstantFn,
                                    GaussianBumpFn, NonAlignedTriple, QuadraticFn, RadialBumpFn,
+                                   WeakIntegrand,
                                    ball_mass, bl_distance, bump_h, default_dictionary,
                                    find_nonaligned_triple, holder_seminorm,
                                    increment_scaling_exponent,
@@ -181,8 +182,10 @@ def test_holder_seminorm_two_point_arithmetic(rng):
 def test_holder_seminorm_constant_path_is_zero(rng):
     a = EmpiricalMeasure(rng.normal(size=(100, 3)))
     assert holder_seminorm([0.0, 0.5, 1.0], [a, a, a]) == 0.0
-    with pytest.raises(ConfigError):
-        holder_seminorm([0.0], [a])
+    for times in ([0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.0], [0.0, math.nan, 1.0],
+                  [0.0, math.inf, 1.0]):
+        with pytest.raises(ConfigError):  # too few, repeated or non-finite times
+            holder_seminorm(times, [a] * len(times))
 
 
 def test_holder_seminorm_accepts_trajectory():
@@ -215,6 +218,48 @@ def test_weak_residual_walks_every_snapshot_with_one_walk(residual_traj, monkeyp
     phi = GaussianBumpFn([0.3, 0.0, -0.2], 0.8, 0.5)
     weak_form_residual(residual_traj, phi, residual_traj.times[-1])
     assert len(residual_traj.snapshots) == 11 and built == [48]
+
+
+# weak_form_residual on residual_traj at t = 0.1, at t = 0.05 and at t = 0.1
+# in 24 blocks, frozen as float.hex from its own block loop before that loop
+# became a WeakIntegrand pass (numpy 2.4 with AVX-512 dispatch: the bump's exp
+# has other bits on other SIMD paths)
+_FROZEN_RESIDUALS = [
+    (GaussianBumpFn([0.3, 0.0, -0.2], 0.8, 0.5),
+     ("0x1.bc96742e9deb4p-7", "0x1.1f92af1bb3b0cp-7", "0x1.bc96742e9deb4p-7")),
+    (QuadraticFn([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, -1.0]]),
+     ("-0x1.2b61e90852a2ep-4", "0x1.2e4a8d0eef3cdp-7", "-0x1.2b61e90852a2ep-4")),
+    (RadialBumpFn([0.2, 0.0, -0.5], 0.8),
+     ("0x1.f900be14e1d63p-5", "0x1.2df14b7041278p-5", "0x1.f900be14e1d64p-5")),
+    (AffineFn([0.3, -1.0, 2.0], 0.5),
+     ("-0x1.0000000000000p-53", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53")),
+]
+
+
+@pytest.mark.parametrize("phi, frozen", _FROZEN_RESIDUALS,
+                         ids=["gauss", "quadratic", "radial", "affine"])
+def test_weak_residual_keeps_its_frozen_bits(residual_traj, monkeypatch, phi, frozen):
+    import landausim.dynamics as dynamics
+    got = [weak_form_residual(residual_traj, phi, 0.1),
+           weak_form_residual(residual_traj, phi, 0.05)]
+    monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 100)  # 24 blocks of 2 rows at N = 48
+    got.append(weak_form_residual(residual_traj, phi, 0.1))
+    assert got == [float.fromhex(x) for x in frozen]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("phi", [QuadraticFn([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3],
+                                              [0.0, 0.3, -1.0]]),
+                                 RadialBumpFn([0.2, 0.0, -0.5], 0.8)],
+                         ids=["quadratic", "radial"])
+def test_weak_integrand_recorded_by_run_is_the_post_hoc_residual(phi, stride):
+    # a run records the integrand of any C^2 phi on the step's own pass (the
+    # final state's on a pass of its own), with the bits of the post-hoc pass
+    cfg = SimConfig(n_particles=24, gamma=-2.0, dt=1e-3, t_end=0.01, seed=6,
+                    eta=0.2, snapshot_stride=stride)
+    traj = run(cfg, pair_observers=[lambda s: WeakIntegrand(phi, cfg.gamma, s.v)])
+    assert len(traj.snapshots) == {1: 11, 3: 5}[stride]
+    assert recorded_weak_residual(traj, phi) == weak_form_residual(traj, phi, traj.times[-1])
 
 
 def test_weak_residual_constant_is_exactly_zero(residual_traj):
@@ -331,8 +376,11 @@ def test_weak_residual_allocates_no_block_beyond_its_walk(monkeypatch):
 
 def test_weak_residual_stride_errors(residual_traj):
     phi = ConstantFn()
+    for t in (0.0137, math.nan):
+        with pytest.raises(StrideError):
+            weak_form_residual(residual_traj, phi, t)
     with pytest.raises(StrideError):
-        weak_form_residual(residual_traj, phi, 0.0137)
+        weak_form_residual(Trajectory(config=residual_traj.config), phi, 0.0)
     clipped = Trajectory(config=residual_traj.config,
                          snapshots=residual_traj.snapshots[1:],
                          diagnostics=residual_traj.diagnostics[1:])
@@ -373,6 +421,16 @@ def test_nonalignment_rejects_degenerate_triples():
     assert not ok and m1 < 0.0  # v2 == v1
     ok, _ = is_delta_nonaligned([0, 0, 0], [0.1, 0, 0], [0, 1, 0], delta)
     assert not ok  # separation below 6 sqrt(delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_delta_must_be_finite_and_positive(delta):
+    calls = (lambda: is_delta_nonaligned([0, 0, 0], [1, 0, 0], [0, 1, 0], delta),
+             lambda: find_nonaligned_triple(maxwellian(1.0), delta, 3.0, 1e-3),
+             lambda: ball_mass(np.zeros((4, 3)), np.zeros(3), delta))
+    for call in calls:
+        with pytest.raises(ConfigError, match="delta"):
+            call()
 
 
 def test_ball_mass_hand_value():
@@ -500,5 +558,8 @@ def test_increment_exponent_max_statistic():
 def test_increment_exponent_errors():
     with pytest.raises(ConfigError):
         increment_scaling_exponent([0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ConfigError, match="'median' or 'max'"):
+        increment_scaling_exponent(np.linspace(0, 1, 65), np.linspace(0, 1, 65),
+                                   statistic="mean")
     with pytest.raises(ConfigError):
         increment_scaling_exponent(np.linspace(0, 1, 65), np.ones(65))

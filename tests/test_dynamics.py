@@ -417,8 +417,9 @@ def test_state_at_and_stride_error():
     cfg = _cfg(t_end=0.02, dt=1e-3, snapshot_stride=5)
     traj = run(cfg)
     assert traj.state_at(0.01).step_index == 10
-    with pytest.raises(StrideError):
-        traj.state_at(0.0035)
+    for t in (0.0035, math.nan):
+        with pytest.raises(StrideError):
+            traj.state_at(t)
 
 
 def test_run_observers_merge_rows():

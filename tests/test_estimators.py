@@ -22,6 +22,15 @@ def test_measure_validation_and_mean_of():
     assert mu.mean_of(lambda v: v[:, 0]) == 2.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_rejects_non_finite_points(rng, bad):
+    # a NaN pair would otherwise count as a coincident, excluded pair
+    v = rng.normal(size=(20, 3))
+    v[7, 1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        EmpiricalMeasure(v)
+
+
 def test_moments_hand_values():
     mu = EmpiricalMeasure([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     m = moments(mu)
