@@ -456,7 +456,14 @@ class BumpWeakIntegrand:
 def recorded_weak_residual(traj: Trajectory, phi) -> float:
     """`weak_form_residual(traj, phi, traj.times[-1])` from the
     "weak_integrand" column that a `WeakIntegrand` or `BumpWeakIntegrand`
-    pair observer wrote into every diagnostics row of the run."""
+    pair observer wrote into every diagnostics row of the run; the same
+    StrideError for a run that does not start at t = 0, and ConfigError for
+    a row without the column."""
+    if abs(traj.times[0]) > 1e-12:
+        raise StrideError("trajectory does not start at t=0")
+    if any("weak_integrand" not in row for row in traj.diagnostics):
+        raise ConfigError("a diagnostics row has no 'weak_integrand' column; "
+                          "record it with a WeakIntegrand pair observer")
     return _residual(traj, phi, np.array([row["weak_integrand"]
                                           for row in traj.diagnostics]))
 

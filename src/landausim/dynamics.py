@@ -19,18 +19,33 @@ upper-triangle rank order, so a pair's increment is a pure function of the
 seed, the step and the pair, and trajectories are reproducible bit for bit
 (the initial cloud comes from the stream of (q, "init", 0)).  The step (and
 every other pair sweep) walks the pairs in row blocks of that rank order and
-draws each block's increments from the stream as it reaches the block: the
+draws each block's increments from the stream in block order: the
 consecutive draws are exactly the rows of `pair_noise`'s single draw, and a
-step holds one block of noise, not all N(N-1)/2 rows.  The same walk feeds
+step holds two blocks of noise, not all N(N-1)/2 rows.  The same walk feeds
 the pair observers of `run` on the states it records.
 
+A block of the step is three helpers: `_draw_noise` (the block's standard
+normals from the step's stream, then scaled by sqrt(dt) into (3, m) rows),
+`_pair_term` (z, |z|^2 and dB in, the (3, m) pair term out) and `_scatter`
+(the term added to both particles of each pair).  The draw depends only on
+the seed, the step and the block, not on the state, so in a step of two or
+more blocks one worker thread (`_DrawAhead`) draws block k + 1 into the
+walk's other noise slot while the step runs the consumers, kernel and
+scatter of block k; block 0 is drawn inline.  The worker draws the blocks
+one at a time and in order from the one stream, so the numbers, and the
+trajectory, do not depend on thread timing.  It lives inside one `step`
+call and is joined before the step returns or raises; a one-block step, or
+one with a `noise` override, starts no thread.  `Generator` releases the
+GIL while it fills, so the draw runs beside the kernel on a second core.
+
 A `_PairWalk` holds one block of every temporary of that pass: the pair
-indices, z and |z|^2, the noise and the kernel terms.  `run` builds one
-before its first step and hands it to every step, so a run allocates no
-block-length array after it starts (freed and re-allocated blocks would be
-trimmed and faulted back in by the allocator on every block).  The arrays a
-walk yields are views of its buffers, valid until the next block; with each
-block it lends the pair consumers its idle term buffers as scratch.
+indices, z and |z|^2, two blocks of noise and the kernel terms.  `run`
+builds one before its first step and hands it to every step, so a run
+allocates no block-length array after it starts (freed and re-allocated
+blocks would be trimmed and faulted back in by the allocator on every
+block).  The arrays a walk yields are views of its buffers, valid until the
+next block; with each block it lends the pair consumers its idle term
+buffers as scratch.
 
 The pass is component major: z, the noise and the pair term of a block are
 (3, m) rows, each pair's arithmetic is that of the (m, 3) formulas (|z|^2
@@ -46,6 +61,7 @@ path of the same numpy for gamma in {0, -1, -2, -3}.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
@@ -195,26 +211,35 @@ class _PairWalk:
     joined into a (3, m) buffer minus its rows' tails joined into another,
     two calls per block and no index gather; r2 sums |z|^2 =
     (z0^2 + z2^2) + z1^2, the order of einsum("pc,pc->p") on the
-    row-major z, so r2 has the same bits.  The step keeps its noise and
-    kernel terms in the other buffers; the term buffers and the mask are
-    idle while a block's consumers run, and are lent to them as its spare.
-    `offsets[b]` holds the first pair of each row of block b, relative to
-    the block, for the step's row sums.
+    row-major z, so r2 has the same bits; the gather takes terms[:3] as
+    scratch.  The step draws each block's noise into `raw` in rank order
+    and keeps it, transposed and scaled, in the (3, m) slot `noise[k % 2]`
+    of block k: the worker of a multi-block step fills the slot of block
+    k + 1 while the step reads that of block k.  The pair term goes into
+    terms[:3] and the kernel's r, alpha and coef into terms[3:]; the six
+    term rows and the mask are idle while a block's consumers run, and are
+    lent to them as its spare (the noise slots never are).  `sizes[b]` is
+    the number of pairs of block b and `offsets[b]` holds the first pair of
+    each of its rows, relative to the block, for the step's row sums.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.rows = max(1, _PAIR_BLOCK // (n - 1))
-        k = min(self.rows, n - 1)
-        cap = k * (n - 1) - k * (k - 1) // 2  # the first block is the largest
+        lengths = np.arange(n - 1, 0, -1)  # row i holds n - 1 - i pairs
+        chunks = [lengths[i0:i0 + self.rows] for i0 in range(0, n - 1, self.rows)]
+        self.offsets = [np.cumsum(rows) - rows for rows in chunks]
+        self.sizes = [int(rows.sum()) for rows in chunks]
+        cap = self.sizes[0]  # the first block is the largest
         self.iu = np.empty(cap, dtype=np.intp)
         self.ju = np.empty(cap, dtype=np.intp)
         self.vt = np.empty((3, n))
         self.z = np.empty((3, cap))
-        self.db = np.empty((cap, 3))  # the keyed noise, drawn in rank order
-        self.r2, self.r, self.alpha, self.coef, self.zdb = np.empty((5, cap))
+        self.raw = np.empty((cap, 3))  # the keyed normals, drawn in rank order
+        self.noise = np.empty((2, 3, cap))  # two blocks' dB: the current and the next
+        self.r2, self.zdb = np.empty((2, cap))
         self.mask = np.empty(cap, dtype=bool)
-        self.terms = np.empty((6, cap))  # the (3, m) pair term and dB
+        self.terms = np.empty((6, cap))  # the pair term, then r, alpha and coef
         # row i's pairs as views: n - 1 - i copies of i, and the columns > i,
         # of the indices and of the points' coordinates in vt
         cols = np.arange(n)
@@ -225,21 +250,14 @@ class _PairWalk:
         self._heads = [heads[i, :, :n - 1 - i] for i in range(n - 1)]
         self._tails = [self.vt[:, i + 1:] for i in range(n - 1)]
         self._indexed = None  # first row of the block the indices hold
-        lengths = np.arange(n - 1, 0, -1)  # row i holds n - 1 - i pairs
-        self.offsets = [np.cumsum(rows) - rows for rows in
-                        (lengths[i0:i0 + self.rows] for i0 in range(0, n - 1, self.rows))]
 
-    def _index(self, i0: int, stop: int) -> int:
-        """Write the indices of the block of rows i0..stop-1 by joining its
-        rows' views (a one-block walk writes them once); returns the
-        block's size."""
-        n, k = self.n, stop - i0
-        m = k * (n - 1 - i0) - k * (k - 1) // 2
+    def _index(self, i0: int, stop: int, m: int) -> None:
+        """Write the m indices of the block of rows i0..stop-1 by joining
+        its rows' views (a one-block walk writes them once)."""
         if self._indexed != i0:
             np.concatenate(self._row_i[i0:stop], out=self.iu[:m])
             np.concatenate(self._row_j[i0:stop], out=self.ju[:m])
             self._indexed = i0
-        return m
 
     def blocks(self, v: np.ndarray):
         """Yield (lo, iu, ju, z, r2, spare) per block: lo is the rank of the
@@ -253,11 +271,11 @@ class _PairWalk:
         if v.shape[0] != n:
             raise ValueError(f"a walk over {n} points got {v.shape[0]}")
         np.copyto(self.vt, v.T)
-        for i0 in range(0, n - 1, self.rows):
+        for m, i0 in zip(self.sizes, range(0, n - 1, self.rows)):
             stop = min(i0 + self.rows, n - 1)
-            m = self._index(i0, stop)
+            self._index(i0, stop, m)
             iu, ju, z, r2 = self.iu[:m], self.ju[:m], self.z[:, :m], self.r2[:m]
-            other = self.terms[3:, :m]
+            other = self.terms[:3, :m]
             np.concatenate(self._heads[i0:stop], axis=1, out=z)
             z -= np.concatenate(self._tails[i0:stop], axis=1, out=other)
             np.multiply(z, z, out=other)
@@ -306,6 +324,94 @@ def _rescale_energy(v: np.ndarray, e_target: float) -> np.ndarray:
     return m + lam * w
 
 
+def _draw_noise(stream: np.random.Generator, raw: np.ndarray, db: np.ndarray,
+                sqrt_dt: float) -> None:
+    """The stream's next m pair increments into the (3, m) rows db: m
+    standard normal rows drawn into the (cap, 3) buffer raw, in rank order,
+    then transposed and scaled by sqrt(dt)."""
+    m = db.shape[1]
+    stream.standard_normal(out=raw[:m])
+    np.multiply(raw[:m].T, sqrt_dt, out=db)
+
+
+class _DrawAhead:
+    """The worker thread of one step: it draws blocks 1, 2, ... of the step's
+    keyed noise, in order, into the walk's noise slot of the block's parity,
+    one block ahead of the step.  The step takes block k with `wait()` and
+    hands its slot back with `release()` once the block's pair term is
+    formed; `close()` stops and joins the thread.  The thread touches only
+    the stream, the walk's raw buffer and the slot the step does not hold."""
+
+    def __init__(self, stream: np.random.Generator, walk: _PairWalk, sqrt_dt: float):
+        self._free = threading.Semaphore(1)  # slots the thread may draw into
+        self._ready = threading.Semaphore(0)  # blocks drawn and not yet taken
+        self._stop = False
+        self._error = None
+        self._thread = threading.Thread(target=self._draw, args=(stream, walk, sqrt_dt))
+        self._thread.start()
+
+    def _draw(self, stream, walk, sqrt_dt):
+        try:
+            for k in range(1, len(walk.sizes)):
+                self._free.acquire()
+                if self._stop:
+                    return
+                _draw_noise(stream, walk.raw, walk.noise[k % 2, :, :walk.sizes[k]], sqrt_dt)
+                self._ready.release()
+        except BaseException as err:  # raised in the step's thread by wait()
+            self._error = err
+            self._ready.release()
+
+    def wait(self) -> None:
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def release(self) -> None:
+        self._free.release()
+
+    def close(self) -> None:
+        self._stop = True
+        self._free.release()
+        self._thread.join()
+
+
+def _pair_term(pot: PotentialSpec, z, r2, db, term, scratch, w_noise: float,
+               w_drift: float) -> None:
+    """A block's (3, m) pair term into term, from its (3, m) rows z and dB and
+    r2 = |z|^2; db is overwritten, and scratch = (r, alpha, coef, zdb, far)
+    holds four float rows and a bool row of the block's length."""
+    r, alpha, coef, zdb, far = scratch
+    np.sqrt(r2, out=r)
+    alpha_reg(pot, r, out=alpha)
+    # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
+    with np.errstate(divide="ignore"):
+        np.divide(np.sqrt(alpha, out=zdb), r, out=coef)
+    if not np.greater(r, 0.0, out=far).all():
+        coef[~far] = 0.0
+    coef *= w_noise
+    # z . dB = (z0 d0 + z2 d2) + z1 d1, the order of einsum("pc,pc->p")
+    np.multiply(z[0], db[0], out=zdb)
+    zdb += np.multiply(z[2], db[2], out=r)
+    zdb += np.multiply(z[1], db[1], out=r)
+    # term = (w_noise coef r2) dB + (w_drift alpha - w_noise coef (z . dB)) z
+    np.multiply(db, np.multiply(coef, r2, out=r), out=term)
+    coef *= zdb
+    alpha *= w_drift
+    alpha -= coef
+    term += np.multiply(z, alpha, out=db)
+
+
+def _scatter(term, iu, ju, rows, acc_i, acc_j) -> None:
+    """Add a block's (3, m) pair term to particle i's sums in acc_i, one
+    pairwise reduceat over each of the block's whole rows (so each entry is
+    written once), and to particle j's in acc_j, one bincount per
+    coordinate in rank order; rows holds the first pair of each row."""
+    np.add.reduceat(term, rows, axis=1, out=acc_i[:, iu[0]:iu[0] + rows.size])
+    for c in range(3):
+        acc_j[c] += np.bincount(ju, weights=term[c], minlength=acc_j.shape[1])
+
+
 def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = None,
          e_target: float | None = None, consumers=(),
          walk: _PairWalk | None = None) -> ParticleState:
@@ -315,7 +421,10 @@ def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = 
     Each of `consumers` gets add(iu, ju, z, r2, spare) for every block of
     the pair pass over the starting state, before the step checks its
     result (see `_PairWalk.blocks`).  The pass runs in `walk`'s buffers (a
-    fresh walk when none is given).
+    fresh walk when none is given).  With keyed noise and two or more
+    blocks, one worker thread draws each block's noise while the step runs
+    the block before it; the thread is joined before the step returns or
+    raises.
     """
     pot = config.potential
     v = state.v
@@ -329,46 +438,32 @@ def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = 
         noise = noise.reshape(n * (n - 1) // 2, 3)  # rejects an override of the wrong size
     w_noise = math.sqrt(2.0 / (n - 1))
     w_drift = -4.0 * config.dt / (n - 1)
-    # particle i's row sum is one pairwise reduceat per block (a block holds
-    # whole rows, so each entry of acc_i is written once); the j side adds
-    # one bincount per block and coordinate, in rank order within the block
     acc_i = np.zeros((3, n))
     acc_j = np.zeros((3, n))
-    for k, (lo, iu, ju, z, r2, spare) in enumerate(walk.blocks(v)):
-        for c in consumers:
-            c.add(iu, ju, z, r2, spare)
-        m = iu.size
-        r, alpha, coef, zdb, far = (b[:m] for b in (walk.r, walk.alpha, walk.coef,
-                                                    walk.zdb, walk.mask))
-        term, db = walk.terms[:3, :m], walk.terms[3:, :m]
-        # dB in (3, m) rows; the keyed rows are drawn in rank order, then scaled
-        if noise is None:
-            stream.standard_normal(out=walk.db[:m])
-            np.multiply(walk.db[:m].T, sqrt_dt, out=db)
-        else:
-            np.copyto(db, noise[lo:lo + m].T)
-        np.sqrt(r2, out=r)
-        alpha_reg(pot, r, out=alpha)
-        # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
-        with np.errstate(divide="ignore"):
-            np.divide(np.sqrt(alpha, out=zdb), r, out=coef)
-        if not np.greater(r, 0.0, out=far).all():
-            coef[~far] = 0.0
-        coef *= w_noise
-        # z . dB = (z0 d0 + z2 d2) + z1 d1, the order of einsum("pc,pc->p")
-        np.multiply(z[0], db[0], out=zdb)
-        zdb += np.multiply(z[2], db[2], out=r)
-        zdb += np.multiply(z[1], db[1], out=r)
-        # term = (w_noise coef r2) dB + (w_drift alpha - w_noise coef (z . dB)) z
-        np.multiply(db, np.multiply(coef, r2, out=r), out=term)
-        coef *= zdb
-        alpha *= w_drift
-        alpha -= coef
-        term += np.multiply(z, alpha, out=db)
-        rows = walk.offsets[k]
-        np.add.reduceat(term, rows, axis=1, out=acc_i[:, iu[0]:iu[0] + rows.size])
-        for c in range(3):
-            acc_j[c] += np.bincount(ju, weights=term[c], minlength=n)
+    ahead = None  # the worker drawing the next block's noise
+    try:
+        for k, (lo, iu, ju, z, r2, spare) in enumerate(walk.blocks(v)):
+            m = iu.size
+            db = walk.noise[k % 2, :, :m]
+            if noise is not None:
+                np.copyto(db, noise[lo:lo + m].T)
+            elif k == 0:  # drawn inline; every later block is drawn ahead
+                _draw_noise(stream, walk.raw, db, sqrt_dt)
+                if len(walk.sizes) > 1:
+                    ahead = _DrawAhead(stream, walk, sqrt_dt)
+            else:
+                ahead.wait()
+            for c in consumers:
+                c.add(iu, ju, z, r2, spare)
+            term = walk.terms[:3, :m]
+            scratch = (*walk.terms[3:, :m], walk.zdb[:m], walk.mask[:m])
+            _pair_term(pot, z, r2, db, term, scratch, w_noise, w_drift)
+            _scatter(term, iu, ju, walk.offsets[k], acc_i, acc_j)
+            if ahead is not None:
+                ahead.release()
+    finally:
+        if ahead is not None:
+            ahead.close()
     acc_i -= acc_j
     v_new = v + acc_i.T
 

@@ -262,6 +262,18 @@ def test_weak_integrand_recorded_by_run_is_the_post_hoc_residual(phi, stride):
     assert recorded_weak_residual(traj, phi) == weak_form_residual(traj, phi, traj.times[-1])
 
 
+def test_recorded_weak_residual_checks_its_start_and_its_column():
+    phi = GaussianBumpFn(np.zeros(3), 1.0, 0.5)
+    cfg = SimConfig(n_particles=8, gamma=-2.0, dt=1e-3, t_end=0.005, seed=6, eta=0.2)
+    traj = run(cfg, pair_observers=[lambda s: BumpWeakIntegrand(phi, cfg.gamma, s.v)])
+    late = Trajectory(config=cfg, snapshots=traj.snapshots[1:], diagnostics=traj.diagnostics[1:])
+    for residual in (recorded_weak_residual, lambda tr, f: weak_form_residual(tr, f, tr.times[-1])):
+        with pytest.raises(StrideError, match="does not start at t=0"):
+            residual(late, phi)
+    with pytest.raises(ConfigError, match="weak_integrand"):
+        recorded_weak_residual(run(cfg), phi)
+
+
 def test_weak_residual_constant_is_exactly_zero(residual_traj):
     assert weak_form_residual(residual_traj, ConstantFn(3.7), 0.1) == 0.0
 

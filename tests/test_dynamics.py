@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -156,12 +157,93 @@ def test_pair_noise_moments_and_independence():
         _assert_mean_within_5_se(x * other, 0.0)
 
 
-@pytest.mark.parametrize("n", [3, 400])  # N = 400 walks three row blocks
+@pytest.mark.parametrize("n", [3, 258, 400, 1025])
 def test_block_noise_is_the_keyed_array(n):
-    cfg = _cfg(n_particles=n, seed=11)
+    # blocks 1, 2, ... of the keyed noise are drawn one block ahead on a
+    # worker thread; the step has the bits of the whole-step keyed array
+    cfg = _cfg(n_particles=n, gamma=-3.0, eta=None, seed=11)
+    assert len(dynamics._PairWalk(n).sizes) == {3: 1, 258: 2, 400: 3, 1025: 16}[n]
     state = ParticleState(init_iid(cfg).v, step_index=5)
-    keyed = step(state, cfg, noise=pair_noise(cfg.seed, 5, n, cfg.dt))
-    np.testing.assert_array_equal(step(state, cfg).v, keyed.v)
+    keyed = step(state, cfg, noise=pair_noise(cfg.seed, 5, n, cfg.dt),
+                 consumers=[a := PairStats(0.1)])
+    drawn = step(state, cfg, consumers=[b := PairStats(0.1)])
+    assert (drawn.v == keyed.v).all()
+    assert b.row() == a.row()
+
+
+class _ThreadCount:
+    """threading.Thread in landausim.dynamics, counting the threads started."""
+
+    def __init__(self, monkeypatch):
+        self.started = 0
+        count = self
+
+        class Thread(threading.Thread):
+            def start(self):
+                count.started += 1
+                super().start()
+
+        monkeypatch.setattr(dynamics.threading, "Thread", Thread)
+
+
+@pytest.mark.parametrize("n, override", [(257, False), (400, True)],
+                         ids=["one-block", "noise-override"])
+def test_a_step_without_a_keyed_draw_ahead_starts_no_thread(n, override, monkeypatch):
+    threads = _ThreadCount(monkeypatch)
+    cfg = _cfg(n_particles=n)
+    step(init_iid(cfg), cfg, noise=pair_noise(cfg.seed, 0, n, cfg.dt) if override else None)
+    assert threads.started == 0
+    cfg = _cfg(n_particles=258)
+    step(init_iid(cfg), cfg)  # two blocks: one worker
+    assert threads.started == 1
+
+
+def test_multi_block_runs_leave_no_thread_behind():
+    before = threading.active_count()
+    run(_cfg(n_particles=400, t_end=0.003))
+    assert threading.active_count() == before
+    # gamma = 0 with a huge step overflows; the failing step joins its worker
+    # (no later state is recorded: the energy fsum of a state near overflow
+    # raises OverflowError before the step can raise BlowupError)
+    cfg = _cfg(n_particles=258, gamma=0.0, eta=1.0, dt=1e3, t_end=1e6, seed=2,
+               snapshot_stride=10**6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupError):
+            run(cfg)
+    assert threading.active_count() == before
+
+
+class _FailingConsumer:
+    def __init__(self, block):
+        self.block, self.calls = block, 0
+
+    def add(self, iu, ju, z, r2, spare):
+        if self.calls == self.block:
+            raise ValueError("consumer failed")
+        self.calls += 1
+
+
+def test_a_consumer_error_propagates_and_joins_the_worker():
+    before = threading.active_count()
+    cfg = _cfg(n_particles=1025)
+    with pytest.raises(ValueError, match="consumer failed"):
+        step(init_iid(cfg), cfg, consumers=[_FailingConsumer(2)])
+    assert threading.active_count() == before
+
+
+def test_traced_names_are_called_from_the_main_thread_only(monkeypatch):
+    # perfbench's tracer wraps these names and keeps one span stack
+    callers = set()
+    for name in ("alpha_reg", "conserved_quantities"):
+        real = getattr(dynamics, name)
+
+        def recorded(*args, _real=real, **kwargs):
+            callers.add(threading.get_ident())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, recorded)
+    run(_cfg(n_particles=400, t_end=0.003))
+    assert callers == {threading.main_thread().ident}
 
 
 def test_step_peak_allocation_is_one_block():
