@@ -5,6 +5,10 @@ Subcommands:
 * ``simulate``    run one particle simulation from a JSON config into a run
                   directory (manifest, snapshots, diagnostics.jsonl);
 * ``functionals`` evaluate H, I, D, J, K_beta on a named density preset;
+                  asked for H or I and for D, J or K, it runs the H/I
+                  quadrature on one worker thread beside the Monte Carlo
+                  pass, with the output and error order of running the
+                  quadrature first;
 * ``sweep``       grid of simulations over one config axis x seeds, with a
                   per-run summary table and per-value medians;
 * ``plotdata``    flatten a run's diagnostics.jsonl into tidy CSV;
@@ -114,12 +118,29 @@ def _cmd_functionals(args) -> int:
         rec.update(extra)
         print(json.dumps(rec, sort_keys=True))
 
-    grid = [w for w in ("H", "I") if w in which]
-    if grid:  # one grid pass serves the mass check, H and I
-        for name, est in grid_functionals(model, grid).items():
+    def emit_grid(estimates):
+        for name, est in estimates.items():
             emit(name, est)
-    if needs_pair:  # one sample batch serves D, J and K_beta
+
+    # one grid pass serves the mass check, H and I; one sample batch serves
+    # D, J and K_beta
+    grid = [w for w in ("H", "I") if w in which]
+    if grid and needs_pair:  # the grid pass runs on one worker thread meanwhile
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:
+            # the caller's context carries numpy's errstate into the worker
+            job = pool.submit(contextvars.copy_context().run,
+                              grid_functionals, model, grid)
+            try:
+                fam = k_family(pair, betas, pot, mc)
+            finally:  # the grid's records, or its error, come first
+                emit_grid(job.result())
+    elif grid:
+        emit_grid(grid_functionals(model, grid))
+    elif needs_pair:
         fam = k_family(pair, betas, pot, mc)
+    if needs_pair:
         if "D" in which:
             emit("D", fam.D)
         if "J" in which:

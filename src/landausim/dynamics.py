@@ -186,8 +186,16 @@ def conserved_quantities(state: ParticleState):
     """(total momentum vector, total kinetic energy) via compensated sums."""
     v = state.v
     momentum = np.array([math.fsum(v[:, c]) for c in range(3)])
-    energy = math.fsum((v * v).ravel())
-    return momentum, energy
+    return momentum, _sum_squares(v)
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """The compensated sum of a's squared entries; inf once it passes the
+    float range, where math.fsum raises OverflowError."""
+    try:
+        return math.fsum((a * a).ravel())
+    except OverflowError:
+        return math.inf
 
 
 def _stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
@@ -316,7 +324,7 @@ def _rescale_energy(v: np.ndarray, e_target: float) -> np.ndarray:
     n = v.shape[0]
     m = np.array([math.fsum(v[:, c]) for c in range(3)]) / n
     w = v - m
-    sw = math.fsum((w * w).ravel())
+    sw = _sum_squares(w)
     tw = e_target - n * float(m @ m)
     if sw <= 0.0 or tw <= 0.0:
         return v  # degenerate cloud: energy already pinned by the mean
@@ -469,7 +477,7 @@ def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = 
 
     if config.energy_mode == "rescale":
         if e_target is None:
-            e_target = math.fsum((v * v).ravel())
+            e_target = _sum_squares(v)
         v_new = _rescale_energy(v_new, e_target)
 
     if not np.all(np.isfinite(v_new)):
@@ -531,7 +539,7 @@ def run(config: SimConfig, observers=(), pair_observers=()) -> Trajectory:
     """
     t0 = time.perf_counter()
     state = init_iid(config)
-    e_target = math.fsum((state.v * state.v).ravel())
+    e_target = _sum_squares(state.v)
     traj = Trajectory(config=config)
     walk = _PairWalk(config.n_particles)
 

@@ -293,6 +293,7 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
 
     Each block of _MC_BLOCK seeded sample rows writes its values at the
     running kept offset of one array per result (bit for bit one batch).
+    Fewer than two kept samples raise CoverageError.
     """
     betas = list(betas)
     for beta in betas:
@@ -310,6 +311,10 @@ def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
         j[rows], d[rows] = batch.j_samples(), batch.d_samples()
         kept += batch.n
         nr += batch.n_rejected
+    if kept < 2:  # a mean and its standard error need two samples
+        raise CoverageError(
+            f"{kept} of {n} Monte Carlo samples kept, {nr} rejected with |z| < "
+            f"{_SINGULAR_CUTOFF:g}; an estimate needs at least 2")
     ks, j, d = [k[:kept] for k in ks], j[:kept], d[:kept]
     samples = dict(zip(betas, ks), J=j)
     estimates = {beta: _mc_estimate(samples[beta], nr) for beta in betas}

@@ -156,11 +156,12 @@ def alpha_reg(spec: PotentialSpec, r, out=None):
     if out is None:
         out = np.empty_like(rr)
     _power(rr, spec.gamma, out)
-    if spec.gamma != 0.0:
-        # chi_eta(r) == r for r >= eta; the entries below eta (r = 0 too) are overwritten
+    # chi_eta(r) == r for r >= eta; the entries below eta (r = 0 too) are
+    # overwritten.  fmin skips NaN as `<` does, so one reduction decides
+    # whether any entry is below eta and the mask is built only then.
+    if spec.gamma != 0.0 and rr.size and np.fmin.reduce(rr, axis=None) < spec.eta:
         near = rr < spec.eta
-        if np.any(near):
-            out[near] = _power(chi_eta(spec.eta, rr[near]), spec.gamma)
+        out[near] = _power(chi_eta(spec.eta, rr[near]), spec.gamma)
     return out if np.ndim(r) else out[0]
 
 

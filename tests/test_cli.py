@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from landausim import dynamics
 from landausim.cli import main
 from landausim.diagnostics import GaussianBumpFn, weak_form_residual
 from landausim.dynamics import ParticleState
-from landausim.errors import BlowupError
+from landausim.errors import BlowupError, CoverageError
 from landausim.estimators import EmpiricalMeasure, PairStats, pair_inverse_square
 from landausim.reference import maxwellian_entropy
 from landausim.runio import load_trajectory
@@ -279,6 +280,138 @@ def test_functionals_nan_mass_is_a_coverage_failure(capsys, preset):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: quadrature mass nan")
+
+
+_FUNCTIONALS_CHILD = """
+import concurrent.futures, sys
+from concurrent.futures import Future
+from landausim import cli
+from landausim.errors import CoverageError
+
+class Inline:  # the grid pass runs where it is submitted: the sequential order
+    def __init__(self, workers):
+        pass
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def submit(self, fn, *args):
+        job = Future()
+        try:
+            job.set_result(fn(*args))
+        except BaseException as exc:
+            job.set_exception(exc)
+        return job
+
+if inline:
+    concurrent.futures.ThreadPoolExecutor = Inline
+if mc_fails:
+    def k_family(*args):
+        raise CoverageError("the MC pass failed")
+    cli.k_family = k_family
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("preset, which, samples, mc_fails", [
+    ("aniso_gauss(2,0.5,0.5)", "H,I,D,J,K", 100_000, False),
+    ("bimodal(3)", "H,I,D,J,K", 20_000, False),
+    ("maxwellian(1e-300)", "I,D", 1000, False),
+    ("maxwellian(1e-300)", "D,K", 1000, False),
+    ("bimodal(3)", "I,H,K", 1000, True),
+])
+def test_functionals_overlap_prints_what_the_sequential_order_prints(
+        preset, which, samples, mc_fails):
+    # the grid pass on its worker thread against the same command with the
+    # worker run inline: same stdout, stderr (numpy's warnings too) and exit code
+    argv = ["functionals", "--preset", preset, "--which", which, "--beta", "0,0.5,1",
+            "--gamma", "-2", "--samples", str(samples), "--seed", "3"]
+    threaded, inline = (
+        run_child(f"argv, inline, mc_fails = {argv!r}, {run_inline}, {mc_fails}\n"
+                  + _FUNCTIONALS_CHILD)
+        for run_inline in (False, True))
+    assert (threaded.returncode, threaded.stdout, threaded.stderr) == (
+        inline.returncode, inline.stdout, inline.stderr)
+    expect_ok = preset != "maxwellian(1e-300)" and not mc_fails
+    assert threaded.returncode == (0 if expect_ok else 1)
+    assert "Traceback" not in threaded.stderr
+
+
+def _functionals_with_k_family(monkeypatch, k_family, preset="maxwellian(1)",
+                               which="H,I,D"):
+    if k_family is not None:
+        monkeypatch.setattr(cli_module, "k_family", k_family)
+    return cli("functionals", "--preset", preset, "--which", which, "--gamma", "-2",
+               "--samples", "1000")
+
+
+def test_functionals_grid_error_wins_over_the_mc_pass(monkeypatch, capsys):
+    threads = threading.active_count()
+    # the grid's NaN mass fails; the MC pass beside it succeeds, or fails too
+    with np.errstate(all="ignore"):
+        assert _functionals_with_k_family(monkeypatch, None, "maxwellian(1e-300)",
+                                          "I,D") == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: quadrature mass nan")
+        assert threading.active_count() == threads
+
+        def mc_fails(*args):
+            raise CoverageError("the MC pass failed")
+
+        assert _functionals_with_k_family(monkeypatch, mc_fails, "maxwellian(1e-300)",
+                                          "I,D") == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: quadrature mass nan")
+        assert threading.active_count() == threads
+    # the worker runs under the caller's numpy errstate, as the grid pass did
+    # on the calling thread
+    with np.errstate(all="raise"):
+        for which in ("I", "I,D"):
+            with pytest.raises(FloatingPointError):
+                _functionals_with_k_family(monkeypatch, None, "maxwellian(1e-300)", which)
+            assert capsys.readouterr().out == ""
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("error", [CoverageError("the MC pass failed"),
+                                   RuntimeError("the MC pass broke")])
+def test_functionals_mc_error_follows_the_grid_records(monkeypatch, capsys, error):
+    threads = threading.active_count()
+
+    def mc_fails(*args):
+        raise error
+
+    if isinstance(error, CoverageError):
+        assert _functionals_with_k_family(monkeypatch, mc_fails) == 1
+    else:
+        with pytest.raises(RuntimeError, match="the MC pass broke"):
+            _functionals_with_k_family(monkeypatch, mc_fails)
+    out = capsys.readouterr()
+    assert [json.loads(line)["functional"] for line in out.out.splitlines()] == ["H", "I"]
+    assert out.err == ("error: the MC pass failed\n"
+                       if isinstance(error, CoverageError) else "")
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("which, started", [("H,I", 0), ("D,J,K", 0), ("I", 0),
+                                            ("H,D", 1), ("K,I,J", 1)])
+def test_functionals_starts_a_thread_only_for_both_passes(monkeypatch, capsys,
+                                                          which, started):
+    threads = threading.active_count()
+    starts = []
+    start = threading.Thread.start
+
+    def counted_start(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", which,
+               "--beta", "0.5", "--gamma", "-2", "--samples", "1000") == 0
+    assert len(starts) == started
+    assert threading.active_count() == threads
+    names = {json.loads(line)["functional"] for line in capsys.readouterr().out.splitlines()}
+    assert names == {"K_beta" if w == "K" else w for w in which.split(",")}
 
 
 @pytest.mark.parametrize("samples", ["0", "-5", "1"])

@@ -592,6 +592,34 @@ def test_blowup_attaches_partial_trajectory():
     assert np.all(np.isfinite(traj.snapshots[-1].v))
 
 
+@pytest.mark.parametrize("energy_mode, dt, step", [("none", 1e3, 43),
+                                                    ("rescale", 1e153, 2)])
+def test_blowup_recorded_every_step_attaches_partial_trajectory(energy_mode, dt, step):
+    # every state is recorded, the last one with squared speeds that sum past
+    # the float range: its energy is inf and the run still ends in a
+    # BlowupError with the partial trajectory (fsum raised OverflowError)
+    cfg = _cfg(n_particles=8, gamma=0.0, eta=1.0, dt=dt, t_end=1e6 * dt, seed=2,
+               snapshot_stride=1, energy_mode=energy_mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupError) as exc:
+            run(cfg)
+    traj = exc.value.trajectory
+    assert exc.value.step_index == step
+    assert traj.error == {"type": "blowup", "step": step}
+    assert [s.step_index for s in traj.snapshots] == list(range(step))
+    assert np.all(np.isfinite(traj.snapshots[-1].v))
+    assert traj.diagnostics[-1]["energy"] == math.inf
+    assert all(math.isfinite(row["energy"]) for row in traj.diagnostics[:-1])
+
+
+def test_conserved_energy_past_the_float_range_is_inf():
+    v = np.full((8, 3), 1e154)
+    assert np.all(np.isfinite(v * v))
+    momentum, energy = conserved_quantities(ParticleState(v, 0.0, 0))
+    assert energy == math.inf
+    assert momentum.tolist() == [8e154] * 3
+
+
 def test_run_rescale_keeps_initial_energy():
     cfg = _cfg(n_particles=32, t_end=0.05, dt=1e-3, energy_mode="rescale")
     traj = run(cfg)

@@ -8,7 +8,7 @@ import pytest
 from landausim.cli import main as cli_main
 from landausim.densities import (DensityModel, GaussianModel, ScaledModel,
                                  ShiftedModel, TensorPower, grid_integrate)
-from landausim.errors import CapabilityError, ConfigError
+from landausim.errors import CapabilityError, ConfigError, CoverageError
 from landausim import functionals
 from landausim.functionals import (MCSpec, J_functional, _MC_BLOCK, _PairBatch,
                                    beta_power_identity_probes, entropy,
@@ -575,6 +575,34 @@ def _pair_functional_results(model, pot, betas, mc=MCSpec(_BLOCKED_N, 0)):
     return {"D": entropy_production_D(model, pot, mc), "J": J_functional(model, pot, mc),
             "family": (fam.estimates, fam.J, fam.D, fam.n, fam.n_rejected,
                        fam.residual(0.0), fam.residual(1.0))}
+
+
+def test_a_sample_of_coincident_pairs_is_a_coverage_failure(recwarn):
+    # every pair of maxwellian(1e-300) lies within 1e-12: no sample is kept,
+    # and the estimate must fail, not return NaN with numpy's warnings
+    pot = PotentialSpec(gamma=-2.0, eta=0.1)
+    with pytest.raises(CoverageError, match=r"^0 of 1000 Monte Carlo samples kept, "
+                                            r"1000 rejected with \|z\| < 1e-12"):
+        entropy_production_D(resolve_preset("maxwellian(1e-300)"), pot, MCSpec(1000, 0))
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("kept", [0, 1, 2])
+def test_k_family_needs_two_kept_samples(monkeypatch, pot_gm2, kept):
+    model = TensorPower(maxwellian(1.0), 2)
+    X = model.sample(np.random.default_rng(8), 40)
+    X[kept:, 3:6] = X[kept:, 0:3]  # all pairs but the first `kept` coincide
+    monkeypatch.setattr(model, "sample_blocks", lambda rng, n, rows: _row_blocks(X, rows))
+    if kept < 2:
+        with pytest.raises(CoverageError, match=f"^{kept} of 40 Monte Carlo samples "
+                                                f"kept, {40 - kept} rejected"):
+            k_family(model, [0.5], pot_gm2, MCSpec(40, 0))
+        with pytest.raises(CoverageError):
+            entropy_production_D(model, pot_gm2, MCSpec(40, 0))
+    else:
+        fam = k_family(model, [0.5], pot_gm2, MCSpec(40, 0))
+        assert (fam.n, fam.n_rejected) == (2, 38)
+        assert math.isfinite(fam.D.value) and math.isfinite(fam.D.abs_error)
 
 
 @pytest.mark.parametrize("preset", ["maxwellian(1)", "aniso_gauss(2,0.5,0.5)", "bimodal(3)"])

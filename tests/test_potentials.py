@@ -163,6 +163,44 @@ def test_alpha_reg_writes_into_out(gamma):
     np.testing.assert_array_equal(out, alpha_reg(spec, r))
 
 
+def _alpha_reg_by_mask(spec, r):
+    """alpha_reg as the mask formula: the power of r, with chi_eta's power
+    over every entry r < eta."""
+    from landausim.potentials import _power
+    out = _power(r, spec.gamma)
+    if spec.gamma != 0.0:
+        near = r < spec.eta
+        out[near] = _power(chi_eta(spec.eta, r[near]), spec.gamma)
+    return out
+
+
+_ETA = 0.3
+_BELOW, _ABOVE = np.nextafter(_ETA, 0.0), np.nextafter(_ETA, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, -2.0, -2.5, -3.0])
+@pytest.mark.parametrize("r", [
+    [], [0.0], [np.nan], [np.inf], [_ETA], [_BELOW], [_ABOVE],
+    [np.nan, np.nan], [np.nan, 0.1], [0.1, np.nan], [np.inf, _BELOW, np.nan],
+    [_ETA, _ABOVE, 5.0, np.inf], [0.0, _ETA, np.nan, _ABOVE, 1e-300],
+    [[0.5, np.nan], [_BELOW, 2.0]], [[0.5, np.nan], [_ETA, 2.0]],
+])
+def test_alpha_reg_is_the_mask_formula_bit_for_bit(gamma, r):
+    # one NaN-ignoring reduction decides whether any entry is below eta;
+    # the values must be those of the mask over r < eta, NaN and inf included
+    spec = PotentialSpec(gamma=gamma, eta=_ETA)
+    r = np.array(r, dtype=float)
+    want = _alpha_reg_by_mask(spec, r)
+    got = alpha_reg(spec, r)
+    assert got.shape == r.shape
+    assert got.tobytes() == want.tobytes()
+    out = np.full_like(r, -1.0)
+    assert alpha_reg(spec, r, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    for ri, wi in zip(r.ravel(), want.ravel()):
+        assert np.float64(alpha_reg(spec, float(ri))).tobytes() == wi.tobytes()
+
+
 @given(st.floats(min_value=1e-4, max_value=10.0))
 def test_alpha_reg_capped_by_bare(r):
     spec = PotentialSpec(gamma=-2.0, eta=0.2)
