@@ -25,7 +25,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +63,17 @@ def _run_and_save(config: SimConfig, observers, out, fmt: str, pair_observers=()
     return traj
 
 
+def _create_out(make, path, *args, **kwargs):
+    """make(path, *args, **kwargs) for an --out path; an OSError is a ConfigError."""
+    try:
+        return make(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out {path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
+    _create_out(Path.mkdir, Path(args.out), parents=True, exist_ok=True)
     observers = [_entropy_observer] if args.entropy else []
     traj = _run_and_save(config, observers, args.out, args.format)
     if traj.error:
@@ -205,14 +213,15 @@ def _cmd_sweep(args) -> int:
             config = SimConfig.from_dict({**base, args.axis: value, "seed": seed})
             cell = out_root / f"{args.axis}={name}" / f"seed={seed}"
             jobs.append((config, args.axis, value, cell, args.format))
+    _create_out(Path.mkdir, out_root, parents=True, exist_ok=True)
     workers = min(args.workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, jobs))
     else:
         rows = [_run_cell(j) for j in jobs]
 
-    out_root.mkdir(parents=True, exist_ok=True)
     cols = ["axis", "value", "seed", "status", "runtime_s", *_SWEEP_METRICS]
     with open(out_root / "summary.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=cols)
@@ -259,7 +268,7 @@ def _cmd_plotdata(args) -> int:
         for c in out:
             if c not in flat_cols:
                 flat_cols.append(c)
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
+    sink = _create_out(open, args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.DictWriter(sink, fieldnames=flat_cols)
         w.writeheader()

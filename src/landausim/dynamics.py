@@ -28,15 +28,16 @@ A block of the step is three helpers: `_draw_noise` (the block's standard
 normals from the step's stream, then scaled by sqrt(dt) into (3, m) rows),
 `_pair_term` (z, |z|^2 and dB in, the (3, m) pair term out) and `_scatter`
 (the term added to both particles of each pair).  The draw depends only on
-the seed, the step and the block, not on the state, so in a step of two or
-more blocks one worker thread (`_DrawAhead`) draws block k + 1 into the
-walk's other noise slot while the step runs the consumers, kernel and
-scatter of block k; block 0 is drawn inline.  The worker draws the blocks
-one at a time and in order from the one stream, so the numbers, and the
-trajectory, do not depend on thread timing.  It lives inside one `step`
-call and is joined before the step returns or raises; a one-block step, or
-one with a `noise` override, starts no thread.  `Generator` releases the
-GIL while it fills, so the draw runs beside the kernel on a second core.
+the seed, the step and the block, not on the state, so a step of two or
+more blocks hands its draws, in order from the one stream, to one worker
+thread (a one-worker `ThreadPoolExecutor`): block 0's is submitted before
+the walk gathers block 0, and block k + 1's, into the walk's other noise
+slot, once block k's consumers have run and its noise is in.  So the
+numbers do not depend on thread timing.  The worker lives inside one
+`step` call and is shut down before the step returns or raises; a
+one-block step, or one with a `noise` override, draws inline and starts
+no thread.  `Generator` releases the GIL while it fills, so the draw runs
+beside the kernel on a second core.
 
 A `_PairWalk` holds one block of every temporary of that pass: the pair
 indices, z and |z|^2, two blocks of noise and the kernel terms.  `run`
@@ -61,8 +62,8 @@ path of the same numpy for gamma in {0, -1, -2, -3}.
 from __future__ import annotations
 
 import math
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
 
@@ -185,7 +186,7 @@ class ParticleState:
 def conserved_quantities(state: ParticleState):
     """(total momentum vector, total kinetic energy) via compensated sums."""
     v = state.v
-    momentum = np.array([math.fsum(v[:, c]) for c in range(3)])
+    momentum = np.array([math.fsum(v[:, c].tolist()) for c in range(3)])
     return momentum, _sum_squares(v)
 
 
@@ -193,7 +194,7 @@ def _sum_squares(a: np.ndarray) -> float:
     """The compensated sum of a's squared entries; inf once it passes the
     float range, where math.fsum raises OverflowError."""
     try:
-        return math.fsum((a * a).ravel())
+        return math.fsum((a * a).ravel().tolist())
     except OverflowError:
         return math.inf
 
@@ -322,7 +323,7 @@ def init_iid(config: SimConfig, model=None) -> ParticleState:
 def _rescale_energy(v: np.ndarray, e_target: float) -> np.ndarray:
     """Affine rescale about the mean so that sum |v_i|^2 == e_target."""
     n = v.shape[0]
-    m = np.array([math.fsum(v[:, c]) for c in range(3)]) / n
+    m = np.array([math.fsum(v[:, c].tolist()) for c in range(3)]) / n
     w = v - m
     sw = _sum_squares(w)
     tw = e_target - n * float(m @ m)
@@ -342,48 +343,6 @@ def _draw_noise(stream: np.random.Generator, raw: np.ndarray, db: np.ndarray,
     np.multiply(raw[:m].T, sqrt_dt, out=db)
 
 
-class _DrawAhead:
-    """The worker thread of one step: it draws blocks 1, 2, ... of the step's
-    keyed noise, in order, into the walk's noise slot of the block's parity,
-    one block ahead of the step.  The step takes block k with `wait()` and
-    hands its slot back with `release()` once the block's pair term is
-    formed; `close()` stops and joins the thread.  The thread touches only
-    the stream, the walk's raw buffer and the slot the step does not hold."""
-
-    def __init__(self, stream: np.random.Generator, walk: _PairWalk, sqrt_dt: float):
-        self._free = threading.Semaphore(1)  # slots the thread may draw into
-        self._ready = threading.Semaphore(0)  # blocks drawn and not yet taken
-        self._stop = False
-        self._error = None
-        self._thread = threading.Thread(target=self._draw, args=(stream, walk, sqrt_dt))
-        self._thread.start()
-
-    def _draw(self, stream, walk, sqrt_dt):
-        try:
-            for k in range(1, len(walk.sizes)):
-                self._free.acquire()
-                if self._stop:
-                    return
-                _draw_noise(stream, walk.raw, walk.noise[k % 2, :, :walk.sizes[k]], sqrt_dt)
-                self._ready.release()
-        except BaseException as err:  # raised in the step's thread by wait()
-            self._error = err
-            self._ready.release()
-
-    def wait(self) -> None:
-        self._ready.acquire()
-        if self._error is not None:
-            raise self._error
-
-    def release(self) -> None:
-        self._free.release()
-
-    def close(self) -> None:
-        self._stop = True
-        self._free.release()
-        self._thread.join()
-
-
 def _pair_term(pot: PotentialSpec, z, r2, db, term, scratch, w_noise: float,
                w_drift: float) -> None:
     """A block's (3, m) pair term into term, from its (3, m) rows z and dB and
@@ -391,7 +350,7 @@ def _pair_term(pot: PotentialSpec, z, r2, db, term, scratch, w_noise: float,
     holds four float rows and a bool row of the block's length."""
     r, alpha, coef, zdb, far = scratch
     np.sqrt(r2, out=r)
-    alpha_reg(pot, r, out=alpha)
+    alpha_reg(pot, r, out=alpha, mask=far)
     # sigma(z) dB = sqrt(alpha)/|z| * (|z|^2 dB - z (z . dB)); zero for r == 0
     with np.errstate(divide="ignore"):
         np.divide(np.sqrt(alpha, out=zdb), r, out=coef)
@@ -430,9 +389,8 @@ def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = 
     the pair pass over the starting state, before the step checks its
     result (see `_PairWalk.blocks`).  The pass runs in `walk`'s buffers (a
     fresh walk when none is given).  With keyed noise and two or more
-    blocks, one worker thread draws each block's noise while the step runs
-    the block before it; the thread is joined before the step returns or
-    raises.
+    blocks, one worker thread draws each block's noise, one block ahead of
+    the kernel; it is shut down before the step returns or raises.
     """
     pot = config.potential
     v = state.v
@@ -448,30 +406,35 @@ def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = 
     w_drift = -4.0 * config.dt / (n - 1)
     acc_i = np.zeros((3, n))
     acc_j = np.zeros((3, n))
-    ahead = None  # the worker drawing the next block's noise
+    last = len(walk.sizes) - 1
+
+    def draw(k):  # block k's keyed noise into the slot of its parity
+        _draw_noise(stream, walk.raw, walk.noise[k % 2, :, :walk.sizes[k]], sqrt_dt)
+
+    pool = ThreadPoolExecutor(1) if noise is None and last else None
     try:
+        if pool is not None:
+            drawn = pool.submit(draw, 0)
         for k, (lo, iu, ju, z, r2, spare) in enumerate(walk.blocks(v)):
             m = iu.size
             db = walk.noise[k % 2, :, :m]
             if noise is not None:
                 np.copyto(db, noise[lo:lo + m].T)
-            elif k == 0:  # drawn inline; every later block is drawn ahead
-                _draw_noise(stream, walk.raw, db, sqrt_dt)
-                if len(walk.sizes) > 1:
-                    ahead = _DrawAhead(stream, walk, sqrt_dt)
-            else:
-                ahead.wait()
+            elif pool is None:
+                draw(k)
             for c in consumers:
                 c.add(iu, ju, z, r2, spare)
+            if pool is not None:
+                drawn.result()
+                if k < last:  # the slot of block k - 1 is free again
+                    drawn = pool.submit(draw, k + 1)
             term = walk.terms[:3, :m]
             scratch = (*walk.terms[3:, :m], walk.zdb[:m], walk.mask[:m])
             _pair_term(pot, z, r2, db, term, scratch, w_noise, w_drift)
             _scatter(term, iu, ju, walk.offsets[k], acc_i, acc_j)
-            if ahead is not None:
-                ahead.release()
     finally:
-        if ahead is not None:
-            ahead.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     acc_i -= acc_j
     v_new = v + acc_i.T
 

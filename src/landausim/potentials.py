@@ -144,13 +144,13 @@ def _power(x, gamma: float, out=None, where=True):
     return out
 
 
-def alpha_reg(spec: PotentialSpec, r, out=None):
+def alpha_reg(spec: PotentialSpec, r, out=None, mask=None):
     """Regularized strength alpha_eta(r) = (eta * chi(r/eta))**gamma, with
     the power taken by `_power`.
 
     With `out` (a float array of r's shape, not r itself) the values are
-    written into it and it is returned; the pair step passes its block
-    buffer.
+    written into it and it is returned, and `mask` (a bool array of r's
+    shape) takes the below-eta mask; the pair step passes block rows.
     """
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if out is None:
@@ -160,8 +160,8 @@ def alpha_reg(spec: PotentialSpec, r, out=None):
     # overwritten.  fmin skips NaN as `<` does, so one reduction decides
     # whether any entry is below eta and the mask is built only then.
     if spec.gamma != 0.0 and rr.size and np.fmin.reduce(rr, axis=None) < spec.eta:
-        near = rr < spec.eta
-        out[near] = _power(chi_eta(spec.eta, rr[near]), spec.gamma)
+        near = np.flatnonzero(np.less(rr, spec.eta, out=mask))
+        out.put(near, _power(chi_eta(spec.eta, rr.take(near)), spec.gamma))
     return out if np.ndim(r) else out[0]
 
 

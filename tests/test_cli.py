@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -144,6 +145,39 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "No such file" in err
     assert not (tmp_path / "r").exists() and not (tmp_path / "s").exists()
+
+
+def no_step(monkeypatch):
+    """Make dynamics.step fail the test: nothing may run."""
+    def step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(dynamics, "step", step)
+
+
+def test_simulate_out_that_cannot_be_created_exits_2_before_any_step(
+        tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "c.json")
+    (tmp_path / "file").write_text("")
+    no_step(monkeypatch)
+    for out in (tmp_path / "file", tmp_path / "file" / "run"):
+        assert cli("simulate", "--config", cfg, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot create --out {out}:")
+
+
+def test_sweep_out_that_cannot_be_created_exits_2_before_any_step(
+        tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "c.json", n_particles=8, t_end=0.002)
+    (tmp_path / "file").write_text("")
+    no_step(monkeypatch)
+    out = tmp_path / "file" / "sweep"
+    assert cli("sweep", "--config", cfg, "--axis", "n_particles", "--values", "8,12",
+               "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot create --out {out}:")
 
 
 def test_simulate_blowup_saves_partial_run_and_exits_1(tmp_path, monkeypatch, capsys):
@@ -468,6 +502,15 @@ def test_plotdata_key_selection_and_out_file(run_dir, tmp_path, capsys):
     assert len(list(reader)) == 3
 
 
+def test_plotdata_out_that_cannot_be_created_exits_2(run_dir, tmp_path, capsys):
+    capsys.readouterr()
+    for dest in (tmp_path / "missing" / "tidy.csv", run_dir):
+        assert cli("plotdata", "--run", run_dir, "--out", dest) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot create --out {dest}:")
+
+
 def test_plotdata_unknown_key_exits_2(run_dir, capsys):
     capsys.readouterr()
     assert cli("plotdata", "--run", run_dir, "--keys", "nope") == 2
@@ -571,7 +614,7 @@ def test_sweep_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch, capsy
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cfg = write_config(tmp_path / "c.json", n_particles=8, t_end=0.002)
     for values, seeds, workers, expect in (("8", "1", "3", []), ("8", "2", "3", [2]),
                                            ("8,12", "2", "3", [3])):
@@ -655,6 +698,9 @@ def test_simulate_and_sweep_never_import_scipy(tmp_path):
 import sys
 from landausim import cli
 assert "scipy" not in sys.modules, "import landausim.cli"
+# the process pool, and with it multiprocessing, is for sweep --workers > 1 only
+pool_modules = ("concurrent.futures.process", "multiprocessing")
+assert not any(m in sys.modules for m in pool_modules), "import landausim.cli"
 assert cli.main(["simulate", "--config", {str(cfg)!r},
                  "--out", {str(tmp_path / "run")!r}]) == 0
 assert "scipy" not in sys.modules, "simulate"
@@ -664,9 +710,14 @@ assert "scipy" not in sys.modules, "sweep"
 assert cli.main(["functionals", "--preset", "maxwellian(1)", "--which", "H,I,D,J,K",
                  "--gamma", "-2", "--samples", "1000"]) == 0
 assert "scipy" not in sys.modules, "functionals H,I,D,J,K"
+assert not any(m in sys.modules for m in pool_modules), "simulate, sweep, functionals"
 assert cli.main(["simulate", "--config", {str(cfg)!r},
                  "--out", {str(tmp_path / "run_entropy")!r}, "--entropy"]) == 0
 assert "scipy" in sys.modules, "simulate --entropy"
+assert cli.main(["sweep", "--config", {str(cfg)!r}, "--axis", "n_particles",
+                 "--values", "8,9", "--workers", "2",
+                 "--out", {str(tmp_path / "sweep_pool")!r}]) == 0
+assert "concurrent.futures.process" in sys.modules, "sweep --workers 2"
 """
     proc = run_child(script)
     assert proc.returncode == 0, proc.stderr

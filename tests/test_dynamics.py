@@ -172,18 +172,17 @@ def test_block_noise_is_the_keyed_array(n):
 
 
 class _ThreadCount:
-    """threading.Thread in landausim.dynamics, counting the threads started."""
+    """threading.Thread.start, counting the threads started."""
 
     def __init__(self, monkeypatch):
         self.started = 0
-        count = self
+        start = threading.Thread.start
 
-        class Thread(threading.Thread):
-            def start(self):
-                count.started += 1
-                super().start()
+        def counted_start(thread):
+            self.started += 1
+            start(thread)
 
-        monkeypatch.setattr(dynamics.threading, "Thread", Thread)
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
 
 
 @pytest.mark.parametrize("n, override", [(257, False), (400, True)],
@@ -228,6 +227,26 @@ def test_a_consumer_error_propagates_and_joins_the_worker():
     cfg = _cfg(n_particles=1025)
     with pytest.raises(ValueError, match="consumer failed"):
         step(init_iid(cfg), cfg, consumers=[_FailingConsumer(2)])
+    assert threading.active_count() == before
+
+
+def test_a_draw_error_on_the_worker_propagates_and_leaves_no_thread(monkeypatch):
+    real = dynamics._draw_noise
+    drawers = []
+
+    def draw_then_fail(*args):
+        drawers.append(threading.get_ident())
+        if len(drawers) == 4:
+            raise MemoryError("draw failed")
+        real(*args)
+
+    before = threading.active_count()
+    monkeypatch.setattr(dynamics, "_draw_noise", draw_then_fail)
+    cfg = _cfg(n_particles=1025)  # 16 blocks
+    with pytest.raises(MemoryError, match="draw failed"):
+        step(init_iid(cfg), cfg)
+    assert len(drawers) == 4  # no block is drawn after the failed one
+    assert len(set(drawers)) == 1 and drawers[0] != threading.main_thread().ident
     assert threading.active_count() == before
 
 
