@@ -11,7 +11,7 @@ from .dynamics import (SimConfig, ParticleState, Trajectory, init_iid, step, run
 from .densities import GaussianModel, GaussianMixtureModel, TensorPower, ScaledModel, ShiftedModel
 from .functionals import (MCSpec, FunctionalEstimate, entropy, fisher_information,
                           entropy_production_D, J_functional, k_family, tensor_consistency_D)
-from .estimators import EmpiricalMeasure, moments, pair_inverse_square, knn_entropy
+from .estimators import EmpiricalMeasure, pair_inverse_square, knn_entropy
 from .reference import resolve_preset, maxwellian, aniso_gauss, bimodal, maxwell_molecule_moment_ode
 from .diagnostics import (TestFunctionDictionary, default_dictionary, bl_distance,
                           holder_seminorm, weak_form_residual, bump_h,
@@ -28,7 +28,7 @@ __all__ = [
     "GaussianModel", "GaussianMixtureModel", "TensorPower", "ScaledModel", "ShiftedModel",
     "MCSpec", "FunctionalEstimate", "entropy", "fisher_information",
     "entropy_production_D", "J_functional", "k_family", "tensor_consistency_D",
-    "EmpiricalMeasure", "moments", "pair_inverse_square", "knn_entropy",
+    "EmpiricalMeasure", "pair_inverse_square", "knn_entropy",
     "resolve_preset", "maxwellian", "aniso_gauss", "bimodal", "maxwell_molecule_moment_ode",
     "TestFunctionDictionary", "default_dictionary", "bl_distance",
     "holder_seminorm", "weak_form_residual", "bump_h",

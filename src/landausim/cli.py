@@ -109,6 +109,8 @@ def _cmd_functionals(args) -> int:
         raise ConfigError("--beta is empty; K needs at least one beta in [0, 1]")
     for b in betas:
         _check_beta(b)
+    if len(set(betas)) < len(betas):  # one K_beta record per beta
+        raise ConfigError(f"--beta must not repeat a beta, got {betas}")
     needs_pair = any(w in which for w in ("D", "J", "K"))
     if needs_pair:
         if args.gamma is None:
@@ -116,7 +118,6 @@ def _cmd_functionals(args) -> int:
         mc = MCSpec(n_samples=args.samples, seed=args.seed)
         eta = args.eta if args.eta is not None else default_eta(args.samples)
         pot = PotentialSpec(gamma=args.gamma, eta=eta)
-        pair = TensorPower(model, 2)
 
     def emit(name, est, **extra):
         rec = {"functional": name, "preset": args.preset, "method": est.method,
@@ -141,13 +142,13 @@ def _cmd_functionals(args) -> int:
             job = pool.submit(contextvars.copy_context().run,
                               grid_functionals, model, grid)
             try:
-                fam = k_family(pair, betas, pot, mc)
+                fam = k_family(model, betas, pot, mc)
             finally:  # the grid's records, or its error, come first
                 emit_grid(job.result())
     elif grid:
         emit_grid(grid_functionals(model, grid))
     elif needs_pair:
-        fam = k_family(pair, betas, pot, mc)
+        fam = k_family(model, betas, pot, mc)
     if needs_pair:
         if "D" in which:
             emit("D", fam.D)
@@ -246,8 +247,10 @@ def _cmd_plotdata(args) -> int:
     rows = traj.diagnostics
     if not rows:
         raise ConfigError(f"{args.run}: no diagnostics rows")
-    if args.keys:
+    if args.keys is not None:
         keys = [k.strip() for k in args.keys.split(",") if k.strip()]
+        if not keys:
+            raise ConfigError("--keys is empty; name at least one column")
         missing = [k for k in keys if k not in rows[0]]
         if missing:
             raise ConfigError(f"keys not in diagnostics: {missing} "

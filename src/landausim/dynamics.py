@@ -35,9 +35,9 @@ the walk gathers block 0, and block k + 1's, into the walk's other noise
 slot, once block k's consumers have run and its noise is in.  So the
 numbers do not depend on thread timing.  The worker lives inside one
 `step` call and is shut down before the step returns or raises; a
-one-block step, or one with a `noise` override, draws inline and starts
-no thread.  `Generator` releases the GIL while it fills, so the draw runs
-beside the kernel on a second core.
+one-block step draws inline and starts no thread.  `_draw_noise` is the
+only way noise enters a step.  `Generator` releases the GIL while it
+fills, so the draw runs beside the kernel on a second core.
 
 A `_PairWalk` holds one block of every temporary of that pass: the pair
 indices, z and |z|^2, two blocks of noise and the kernel terms.  `run`
@@ -123,6 +123,10 @@ class SimConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.t_end >= 0 and np.isfinite(self.t_end)):
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
+        if not (self.eta_c > 0 and np.isfinite(self.eta_c)):
+            raise ConfigError(f"eta_c must be a finite number > 0, got {self.eta_c}")
+        if not (self.eta_kappa >= 0 and np.isfinite(self.eta_kappa)):
+            raise ConfigError(f"eta_kappa must be a finite number >= 0, got {self.eta_kappa}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative int, got {self.seed}")
         if self.energy_mode not in ("none", "rescale"):
@@ -269,11 +273,11 @@ class _PairWalk:
             self._indexed = i0
 
     def blocks(self, v: np.ndarray):
-        """Yield (lo, iu, ju, z, r2, spare) per block: lo is the rank of the
-        block's first pair, z = (v[iu] - v[ju]).T (shape (3, m), one
-        contiguous row per coordinate) and r2 = |z|^2; spare is (six float
-        rows, one bool row) of the block's length, scratch for the block's
-        consumers until the step resumes.
+        """Yield (iu, ju, z, r2, spare) per block, the arguments of a pair
+        consumer's add: z = (v[iu] - v[ju]).T (shape (3, m), one contiguous
+        row per coordinate) and r2 = |z|^2; spare is (six float rows, one
+        bool row) of the block's length, scratch for the block's consumers
+        until the step resumes.
         The arrays are views of the walk's buffers, valid until the next
         block."""
         n = self.n
@@ -290,15 +294,15 @@ class _PairWalk:
             np.multiply(z, z, out=other)
             np.add(other[0], other[2], out=r2)
             r2 += other[1]
-            yield i0 * n - i0 * (i0 + 1) // 2, iu, ju, z, r2, (self.terms[:, :m], self.mask[:m])
+            yield iu, ju, z, r2, (self.terms[:, :m], self.mask[:m])
 
 
 def _feed_pairs(v: np.ndarray, consumers, walk: _PairWalk) -> None:
     """One pair pass over v in walk's buffers that only feeds the consumers'
     add(iu, ju, z, r2, spare)."""
-    for _, iu, ju, z, r2, spare in walk.blocks(v):
+    for block in walk.blocks(v):
         for c in consumers:
-            c.add(iu, ju, z, r2, spare)
+            c.add(*block)
 
 
 def pair_noise(seed: int, step_index: int, n: int, dt: float) -> np.ndarray:
@@ -309,14 +313,9 @@ def pair_noise(seed: int, step_index: int, n: int, dt: float) -> np.ndarray:
     return math.sqrt(dt) * g.standard_normal((n_pairs, 3))
 
 
-def init_iid(config: SimConfig, model=None) -> ParticleState:
-    """IID draw of the initial cloud from the g0 preset (or an explicit model)."""
-    if model is None:
-        model = config.g0_model
-    rng = _stream(config.seed, _DOMAIN_INIT)
-    v = model.sample(rng, config.n_particles)
-    if v.shape != (config.n_particles, 3):
-        raise ConfigError("g0 model must sample 3D velocities")
+def init_iid(config: SimConfig) -> ParticleState:
+    """IID draw of the initial cloud from the g0 preset."""
+    v = config.g0_model.sample(_stream(config.seed, _DOMAIN_INIT), config.n_particles)
     return ParticleState(np.ascontiguousarray(v, dtype=float))
 
 
@@ -379,29 +378,25 @@ def _scatter(term, iu, ju, rows, acc_i, acc_j) -> None:
         acc_j[c] += np.bincount(ju, weights=term[c], minlength=acc_j.shape[1])
 
 
-def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = None,
-         e_target: float | None = None, consumers=(),
-         walk: _PairWalk | None = None) -> ParticleState:
-    """One Euler-Maruyama step under `config.potential`; `noise` overrides the
-    keyed pair increments, `e_target` the starting energy that "rescale" keeps.
+def step(state: ParticleState, config: SimConfig, *, e_target: float | None = None,
+         consumers=(), walk: _PairWalk | None = None) -> ParticleState:
+    """One Euler-Maruyama step under `config.potential` with the keyed pair
+    increments; `e_target` is the starting energy that "rescale" keeps.
 
     Each of `consumers` gets add(iu, ju, z, r2, spare) for every block of
     the pair pass over the starting state, before the step checks its
     result (see `_PairWalk.blocks`).  The pass runs in `walk`'s buffers (a
-    fresh walk when none is given).  With keyed noise and two or more
-    blocks, one worker thread draws each block's noise, one block ahead of
-    the kernel; it is shut down before the step returns or raises.
+    fresh walk when none is given).  With two or more blocks, one worker
+    thread draws each block's noise, one block ahead of the kernel; it is
+    shut down before the step returns or raises.
     """
     pot = config.potential
     v = state.v
     n = v.shape[0]
     if walk is None:
         walk = _PairWalk(n)
-    if noise is None:
-        stream = _stream(config.seed, _DOMAIN_PAIR, state.step_index)
-        sqrt_dt = math.sqrt(config.dt)
-    else:
-        noise = noise.reshape(n * (n - 1) // 2, 3)  # rejects an override of the wrong size
+    stream = _stream(config.seed, _DOMAIN_PAIR, state.step_index)
+    sqrt_dt = math.sqrt(config.dt)
     w_noise = math.sqrt(2.0 / (n - 1))
     w_drift = -4.0 * config.dt / (n - 1)
     acc_i = np.zeros((3, n))
@@ -411,16 +406,13 @@ def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = 
     def draw(k):  # block k's keyed noise into the slot of its parity
         _draw_noise(stream, walk.raw, walk.noise[k % 2, :, :walk.sizes[k]], sqrt_dt)
 
-    pool = ThreadPoolExecutor(1) if noise is None and last else None
+    pool = ThreadPoolExecutor(1) if last else None
     try:
         if pool is not None:
             drawn = pool.submit(draw, 0)
-        for k, (lo, iu, ju, z, r2, spare) in enumerate(walk.blocks(v)):
+        for k, (iu, ju, z, r2, spare) in enumerate(walk.blocks(v)):
             m = iu.size
-            db = walk.noise[k % 2, :, :m]
-            if noise is not None:
-                np.copyto(db, noise[lo:lo + m].T)
-            elif pool is None:
+            if pool is None:
                 draw(k)
             for c in consumers:
                 c.add(iu, ju, z, r2, spare)
@@ -430,7 +422,7 @@ def step(state: ParticleState, config: SimConfig, *, noise: np.ndarray | None = 
                     drawn = pool.submit(draw, k + 1)
             term = walk.terms[:3, :m]
             scratch = (*walk.terms[3:, :m], walk.zdb[:m], walk.mask[:m])
-            _pair_term(pot, z, r2, db, term, scratch, w_noise, w_drift)
+            _pair_term(pot, z, r2, walk.noise[k % 2, :, :m], term, scratch, w_noise, w_drift)
             _scatter(term, iu, ju, walk.offsets[k], acc_i, acc_j)
     finally:
         if pool is not None:
@@ -476,10 +468,6 @@ class Trajectory:
                 f"t={t} not on the snapshot grid (nearest {times[k]}); "
                 "reduce snapshot_stride")
         return k
-
-    def state_at(self, t: float) -> ParticleState:
-        """The snapshot recorded at time t (to 1e-9)."""
-        return self.snapshots[self._index_at(t)]
 
 
 def _default_observer(state: ParticleState) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 from .dynamics import _PairWalk, _feed_pairs
 from .errors import ConfigError, DegenerateCloudError
 
-__all__ = ["EmpiricalMeasure", "moments", "PairStats", "pair_inverse_square", "knn_entropy"]
+__all__ = ["EmpiricalMeasure", "PairStats", "pair_inverse_square", "knn_entropy"]
 
 _PAIR_CUTOFF = 1e-14
 _KNN_K = 4  # the neighbor rank of knn_entropy
@@ -37,18 +37,6 @@ class EmpiricalMeasure:
     def mean_of(self, fn) -> float:
         """Integral of fn against the measure: mean of fn over the cloud."""
         return float(np.mean(fn(self.points)))
-
-
-def moments(mu: EmpiricalMeasure, max_order: int = 4) -> dict:
-    """Mean vector, energy (mean |v|^2), and radial moments E|v|^m, m <= max_order."""
-    if not 0 <= max_order <= 8:
-        raise ConfigError("max_order must lie in [0, 8]")
-    v = mu.points
-    n = mu.n
-    mean = np.array([math.fsum(v[:, c]) for c in range(3)]) / n
-    speed = np.sqrt(np.sum(v * v, axis=1))
-    radial = {m: float(math.fsum(speed**m)) / n for m in range(1, max_order + 1)}
-    return {"mean": mean, "energy": float(math.fsum(speed**2)) / n, "radial": radial}
 
 
 class PairStats:

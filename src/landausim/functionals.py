@@ -246,12 +246,7 @@ def _check_beta(beta: float) -> None:
 
 
 def entropy_production_D(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
-    """D(F) = 1/2 int alpha(|z|) a(z) : [(grad_1 - grad_2) log F]^(x2) F.
-
-    A 3-dimensional model rho is interpreted as the pair tensor rho x rho.
-    """
-    if model.dim == 3:
-        model = TensorPower(model, 2)
+    """D(F) = 1/2 int alpha(|z|) a(z) : [(grad_1 - grad_2) log F]^(x2) F."""
     return k_family(model, [], pot, mc).D
 
 
@@ -291,10 +286,13 @@ class KFamilyResult:
 def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
     """Evaluate K_beta for several beta in [0, 1], J and D on one shared sample set.
 
-    Each block of _MC_BLOCK seeded sample rows writes its values at the
-    running kept offset of one array per result (bit for bit one batch).
-    Fewer than two kept samples raise CoverageError.
+    A 3-dimensional model rho is taken as the pair tensor rho x rho.  Each
+    block of _MC_BLOCK seeded sample rows writes its values at the running
+    kept offset of one array per result (bit for bit one batch).  Fewer
+    than two kept samples raise CoverageError.
     """
+    if model.dim == 3:
+        model = TensorPower(model, 2)
     betas = list(betas)
     for beta in betas:
         _check_beta(beta)

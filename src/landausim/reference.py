@@ -63,11 +63,11 @@ __all__ = [
 MAXWELL_ANISOTROPY_RATE = 12.0
 
 
-def maxwellian(T: float = 1.0, mean=(0.0, 0.0, 0.0)) -> GaussianModel:
-    """Isotropic Gaussian with temperature T (covariance T Id) at `mean`."""
+def maxwellian(T: float = 1.0) -> GaussianModel:
+    """Centered isotropic Gaussian with temperature T (covariance T Id)."""
     if T <= 0:
         raise ConfigError("temperature must be positive")
-    return GaussianModel(np.asarray(mean, dtype=float), T * np.ones(3))
+    return GaussianModel(np.zeros(3), T * np.ones(3))
 
 
 def aniso_gauss(T1: float, T2: float, T3: float) -> GaussianModel:

@@ -306,6 +306,20 @@ def test_functionals_rejects_empty_beta_before_sampling(monkeypatch, capsys, bet
     assert out.out == "" and "--beta is empty" in out.err
 
 
+@pytest.mark.parametrize("beta", ["0.5,0.5", "0,1,0.0"])
+def test_functionals_rejects_a_repeated_beta_before_any_work(monkeypatch, capsys, beta):
+    # a repeated beta would compute its K_beta column twice and print it twice
+    def no_work(*args):
+        raise AssertionError("worked on a repeated --beta")
+
+    for name in ("k_family", "grid_functionals"):
+        monkeypatch.setattr(cli_module, name, no_work)
+    assert cli("functionals", "--preset", "maxwellian(1)", "--which", "H,K",
+               "--beta", beta, "--gamma", "-2", "--samples", "100") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--beta must not repeat" in out.err
+
+
 @pytest.mark.parametrize("preset", ["maxwellian(1e-300)", "maxwellian(1e300)"])
 def test_functionals_nan_mass_is_a_coverage_failure(capsys, preset):
     # the grid mass is NaN here; it must fail the mass check, not print NaN
@@ -516,6 +530,14 @@ def test_plotdata_unknown_key_exits_2(run_dir, capsys):
     assert cli("plotdata", "--run", run_dir, "--keys", "nope") == 2
     err = capsys.readouterr().err
     assert "nope" in err and "energy" in err  # lists available keys
+
+
+@pytest.mark.parametrize("keys", ["", ",", " , "])
+def test_plotdata_empty_keys_exit_2(run_dir, capsys, keys):
+    capsys.readouterr()
+    assert cli("plotdata", "--run", run_dir, "--keys", keys) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--keys is empty" in out.err
 
 
 def test_plotdata_on_a_run_without_rows_exits_2(run_dir, capsys):

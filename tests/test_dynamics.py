@@ -7,13 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from landausim.densities import GaussianModel
 from landausim.diagnostics import BumpWeakIntegrand, GaussianBumpFn
 import landausim.dynamics as dynamics
 from landausim.dynamics import (ParticleState, SimConfig, Trajectory,
                                 conserved_quantities, init_iid, pair_noise, run,
                                 step)
-from landausim.errors import BlowupError, ConfigError, StrideError
+from landausim.errors import BlowupError, ConfigError
 from landausim.estimators import EmpiricalMeasure, PairStats, pair_inverse_square
 from landausim.potentials import diffusion_sigmaN, drift_bN
 
@@ -47,6 +46,12 @@ def test_config_validation():
         _cfg(gamma=1.0)
     with pytest.raises(ConfigError):
         _cfg(eta=-0.5)
+    # the default-eta rule: a clip to [1e-4, 1] would hide each of these
+    for bad in (dict(eta_c=-1.0), dict(eta_c=0.0), dict(eta_c=math.inf),
+                dict(eta_c=math.nan), dict(eta_kappa=-3.0), dict(eta_kappa=math.inf),
+                dict(eta_kappa=math.nan)):
+        with pytest.raises(ConfigError, match="eta_c|eta_kappa"):
+            _cfg(eta=None, **bad)
 
 
 @pytest.mark.parametrize("g0", [3, None, "nosuch(1)", "aniso_gauss(2,0.5)", "maxwellian(nan)"])
@@ -95,26 +100,22 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
     cap = max(dynamics._PAIR_BLOCK, n - 1)
     v = np.random.default_rng(n).normal(size=(n, 3))
     # the yielded arrays are views of the walk's buffers, valid until the next block
-    blocks = [(lo, *(a.copy() for a in arrays))
-              for lo, *arrays, _ in dynamics._PairWalk(n).blocks(v)]
+    blocks = [[a.copy() for a in arrays] for *arrays, _ in dynamics._PairWalk(n).blocks(v)]
     iu, ju = np.triu_indices(n, k=1)
-    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), iu)
-    np.testing.assert_array_equal(np.concatenate([b[2] for b in blocks]), ju)
-    expect_lo = 0
-    for lo, bi, bj, z, r2 in blocks:
+    # the blocks are contiguous runs of the rank order
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), iu)
+    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), ju)
+    for bi, bj, z, r2 in blocks:
         np.testing.assert_array_equal(z.T, v[bi] - v[bj])
         np.testing.assert_allclose(r2, np.sum(z * z, axis=0), rtol=1e-15, atol=0)
         assert 0 < bi.size <= cap
-        assert lo == expect_lo  # rank offsets are contiguous
-        expect_lo += bi.size
-    assert expect_lo == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n", [7, 400])  # one row block; three
 def test_walk_r2_has_the_bits_of_the_row_major_einsum(n):
     # the (3, m) walk sums (z0^2 + z2^2) + z1^2, as einsum does on (m, 3) rows
     v = np.random.default_rng(n).normal(size=(n, 3)) * np.array([1.0, 1e-3, 30.0])
-    for _, iu, ju, z, r2, _ in dynamics._PairWalk(n).blocks(v):
+    for iu, ju, z, r2, _ in dynamics._PairWalk(n).blocks(v):
         rows = v[iu] - v[ju]
         np.testing.assert_array_equal(z.T, rows)
         np.testing.assert_array_equal(r2, np.einsum("pc,pc->p", rows, rows))
@@ -157,6 +158,26 @@ def test_pair_noise_moments_and_independence():
         _assert_mean_within_5_se(x * other, 0.0)
 
 
+def _step_with_noise(state, cfg, noise, **kwargs):
+    """step with the rows of noise, in rank order, as its pair increments:
+    the step's draws run in block order on one thread, so a substitute for
+    _draw_noise that copies the next rows of noise into each block's slot
+    hands every pair its row."""
+    taken = 0
+
+    def copy_rows(stream, raw, db, sqrt_dt):
+        nonlocal taken
+        m = db.shape[1]
+        np.copyto(db, noise[taken:taken + m].T)
+        taken += m
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_draw_noise", copy_rows)
+        out = step(state, cfg, **kwargs)
+    assert taken == len(noise)
+    return out
+
+
 @pytest.mark.parametrize("n", [3, 258, 400, 1025])
 def test_block_noise_is_the_keyed_array(n):
     # blocks 1, 2, ... of the keyed noise are drawn one block ahead on a
@@ -164,8 +185,8 @@ def test_block_noise_is_the_keyed_array(n):
     cfg = _cfg(n_particles=n, gamma=-3.0, eta=None, seed=11)
     assert len(dynamics._PairWalk(n).sizes) == {3: 1, 258: 2, 400: 3, 1025: 16}[n]
     state = ParticleState(init_iid(cfg).v, step_index=5)
-    keyed = step(state, cfg, noise=pair_noise(cfg.seed, 5, n, cfg.dt),
-                 consumers=[a := PairStats(0.1)])
+    keyed = _step_with_noise(state, cfg, pair_noise(cfg.seed, 5, n, cfg.dt),
+                             consumers=[a := PairStats(0.1)])
     drawn = step(state, cfg, consumers=[b := PairStats(0.1)])
     assert (drawn.v == keyed.v).all()
     assert b.row() == a.row()
@@ -185,12 +206,11 @@ class _ThreadCount:
         monkeypatch.setattr(threading.Thread, "start", counted_start)
 
 
-@pytest.mark.parametrize("n, override", [(257, False), (400, True)],
-                         ids=["one-block", "noise-override"])
-def test_a_step_without_a_keyed_draw_ahead_starts_no_thread(n, override, monkeypatch):
+@pytest.mark.parametrize("n", [2, 257], ids=["one-pair", "one-block"])
+def test_a_step_without_a_keyed_draw_ahead_starts_no_thread(n, monkeypatch):
     threads = _ThreadCount(monkeypatch)
     cfg = _cfg(n_particles=n)
-    step(init_iid(cfg), cfg, noise=pair_noise(cfg.seed, 0, n, cfg.dt) if override else None)
+    step(init_iid(cfg), cfg)  # the smallest and the largest one-block step
     assert threads.started == 0
     cfg = _cfg(n_particles=258)
     step(init_iid(cfg), cfg)  # two blocks: one worker
@@ -335,19 +355,6 @@ def test_init_iid_deterministic_and_distribution():
     assert (s1.v ** 2).sum() / 20000 == pytest.approx(6.0, rel=0.03)
 
 
-def test_init_iid_model_override():
-    cfg = _cfg(n_particles=50)
-    model = GaussianModel([5.0, 0.0, 0.0], 0.01)
-    s = init_iid(cfg, model)
-    assert abs(s.v[:, 0].mean() - 5.0) < 0.1
-
-
-def test_init_iid_rejects_wrong_dimension():
-    cfg = _cfg(n_particles=10)
-    with pytest.raises(ConfigError):
-        init_iid(cfg, GaussianModel(np.zeros(2), 1.0))
-
-
 # ---------------------------------------------------------------------------
 # One step: conservation, exchangeability, fixed points
 
@@ -421,8 +428,8 @@ def test_exchangeability_under_relabeling():
         sign = 1.0 if oi < oj else -1.0
         remapped[dst] = sign * noise[rank[min(oi, oj), max(oi, oj)]]
 
-    out = step(state, cfg, noise=noise)
-    out_perm = step(ParticleState(state.v[p].copy()), cfg, noise=remapped)
+    out = _step_with_noise(state, cfg, noise)
+    out_perm = _step_with_noise(ParticleState(state.v[p].copy()), cfg, remapped)
     scale = np.max(np.abs(out.v))
     assert np.max(np.abs(out_perm.v - out.v[p])) <= 1e-12 * scale
 
@@ -447,13 +454,13 @@ def test_step_matches_reference_pair_kernels(v):
         term += math.sqrt(2.0 / (n - 1)) * diffusion_sigmaN(pot, z) @ db
         expect[i] += term
         expect[j] -= term
-    out = step(ParticleState(v.copy()), cfg, noise=noise)
+    out = _step_with_noise(ParticleState(v.copy()), cfg, noise)
     np.testing.assert_allclose(out.v, expect, rtol=1e-14, atol=0)
 
 
 def test_multi_block_step_matches_reference_pair_kernels():
     # N = 400 walks three row blocks: the blocks' row sums and bincounts add
-    # up to the pair kernels applied pair by pair
+    # up to the pair kernels applied pair by pair to the keyed draw
     n = 400
     cfg = _cfg(n_particles=n, gamma=-3.0, dt=1e-3, eta=None, seed=8)
     pot = cfg.potential
@@ -467,7 +474,7 @@ def test_multi_block_step_matches_reference_pair_kernels():
     expect = v.copy()
     np.add.at(expect, iu, term)
     np.add.at(expect, ju, -term)
-    out = step(ParticleState(v.copy()), cfg, noise=noise)
+    out = step(ParticleState(v.copy()), cfg)
     assert len(dynamics._PairWalk(n).offsets) == 3
     np.testing.assert_allclose(out.v, expect, rtol=1e-13, atol=0)
 
@@ -512,15 +519,6 @@ def test_run_t_end_zero_is_a_single_snapshot():
     traj = run(_cfg(t_end=0.0))
     assert len(traj.snapshots) == 1
     assert traj.snapshots[0].t == 0.0
-
-
-def test_state_at_and_stride_error():
-    cfg = _cfg(t_end=0.02, dt=1e-3, snapshot_stride=5)
-    traj = run(cfg)
-    assert traj.state_at(0.01).step_index == 10
-    for t in (0.0035, math.nan):
-        with pytest.raises(StrideError):
-            traj.state_at(t)
 
 
 def test_run_observers_merge_rows():

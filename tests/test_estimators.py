@@ -6,13 +6,12 @@ from scipy.spatial.distance import pdist
 
 from landausim import dynamics
 from landausim.errors import ConfigError, DegenerateCloudError
-from landausim.estimators import (EmpiricalMeasure, PairStats, knn_entropy, moments,
-                                  pair_inverse_square)
+from landausim.estimators import EmpiricalMeasure, PairStats, knn_entropy, pair_inverse_square
 from landausim.reference import maxwellian_entropy
 
 
 # ---------------------------------------------------------------------------
-# EmpiricalMeasure and moments
+# EmpiricalMeasure
 
 def test_measure_validation_and_mean_of():
     with pytest.raises(ConfigError):
@@ -29,23 +28,6 @@ def test_measure_rejects_non_finite_points(rng, bad):
     v[7, 1] = bad
     with pytest.raises(ConfigError, match="finite"):
         EmpiricalMeasure(v)
-
-
-def test_moments_hand_values():
-    mu = EmpiricalMeasure([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    m = moments(mu)
-    np.testing.assert_allclose(m["mean"], [1.0, 0.0, 0.0])
-    assert m["energy"] == 2.0
-    assert m["radial"] == {1: 1.0, 2: 2.0, 3: 4.0, 4: 8.0}
-    with pytest.raises(ConfigError):
-        moments(mu, max_order=9)
-
-
-def test_moments_match_numpy_on_random_cloud(rng):
-    v = rng.normal(size=(1000, 3))
-    m = moments(EmpiricalMeasure(v), max_order=2)
-    np.testing.assert_allclose(m["mean"], v.mean(axis=0), atol=1e-13)
-    assert m["energy"] == pytest.approx(float((v ** 2).sum(1).mean()), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,13 @@ def test_D_estimates_reproducible_across_seeds(aniso_pair, pot_gm2):
 
 
 def test_D_accepts_single_particle_density(aniso, aniso_pair, pot_gm2):
-    # a 3D model is promoted to its pair tensor; the two calls share nothing
-    # but the seed, which fully determines the sample, so values coincide
-    a = entropy_production_D(aniso, pot_gm2, MCSpec(50_000, 4))
-    b = entropy_production_D(aniso_pair, pot_gm2, MCSpec(50_000, 4))
-    assert a.value == b.value
+    # k_family promotes a 3D model to its pair tensor, so D, J and K take it;
+    # the two calls share nothing but the seed, which fully determines the
+    # sample, so the estimates coincide
+    mc = MCSpec(50_000, 4)
+    for fn in (entropy_production_D, J_functional,
+               lambda model, pot, mc: k_family(model, [0.5], pot, mc).estimates[0.5]):
+        assert fn(aniso, pot_gm2, mc) == fn(aniso_pair, pot_gm2, mc)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +356,14 @@ def test_tensor_consistency_rejects_j_one(aniso, pot_gm2):
         tensor_consistency_D(aniso, 1, pot_gm2, MCSpec(100, 0))
 
 
-def test_pair_functionals_reject_3d_model(aniso, pot_gm2):
-    with pytest.raises(CapabilityError):
-        J_functional(aniso, pot_gm2, MCSpec(100, 0))
+@pytest.mark.parametrize("dim", [2, 4])
+def test_pair_functionals_reject_a_model_off_r3n(dim, pot_gm2):
+    # a 3D model is promoted to its pair tensor; a model on no R^{3n} is refused
+    model = GaussianModel(np.zeros(dim), 1.0)
+    for fn in (entropy_production_D, J_functional,
+               lambda model, pot, mc: k_family(model, [0.5], pot, mc)):
+        with pytest.raises(CapabilityError):
+            fn(model, pot_gm2, MCSpec(100, 0))
 
 
 # ---------------------------------------------------------------------------

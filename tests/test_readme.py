@@ -1,9 +1,11 @@
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
 import landausim
+from landausim.dynamics import step
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +27,15 @@ def test_every_public_name_resolves():
     for mod in modules:
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
+
+
+def test_readme_step_signature_matches_the_code():
+    # parameter names, kinds and defaults as the README prints them, with
+    # the annotations left out and whitespace normalised
+    printed = re.search(r"`step(\(.*?\))`", _README.read_text(), re.S)
+    assert printed is not None
+    sig = inspect.signature(step)
+    bare = sig.replace(parameters=[p.replace(annotation=inspect.Parameter.empty)
+                                   for p in sig.parameters.values()],
+                       return_annotation=inspect.Signature.empty)
+    assert " ".join(printed.group(1).split()) == str(bare)

@@ -25,12 +25,6 @@ def test_preset_constructors_validate():
         bimodal(1.0, 0.0)
 
 
-def test_maxwellian_accepts_mean():
-    m = maxwellian(2.0, mean=[1.0, 0.0, -1.0])
-    np.testing.assert_array_equal(m.mean, [1.0, 0.0, -1.0])
-    np.testing.assert_array_equal(np.diag(m.cov), [2.0, 2.0, 2.0])
-
-
 def test_preset_names_listed():
     assert preset_names() == ["aniso_gauss", "bimodal", "maxwellian"]
 
@@ -49,7 +43,7 @@ def test_resolve_preset_parses_strings():
 
 @pytest.mark.parametrize("bad", [
     "maxwellian", "maxwellian(2", "unknown(1)", "maxwellian(a)",
-    "aniso_gauss(1)", "maxwellian(1)(2)"])
+    "aniso_gauss(1)", "maxwellian(1)(2)", "maxwellian(1,2)"])
 def test_resolve_preset_rejects_malformed(bad):
     with pytest.raises(ConfigError):
         resolve_preset(bad)
