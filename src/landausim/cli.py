@@ -107,8 +107,7 @@ def _cmd_functionals(args) -> int:
     betas = _parse_list(args.beta, float, "--beta") if "K" in which else []
     if "K" in which and not betas:
         raise ConfigError("--beta is empty; K needs at least one beta in [0, 1]")
-    for b in betas:
-        _check_beta(b)
+    _check_beta(*betas)
     if len(set(betas)) < len(betas):  # one K_beta record per beta
         raise ConfigError(f"--beta must not repeat a beta, got {betas}")
     needs_pair = any(w in which for w in ("D", "J", "K"))

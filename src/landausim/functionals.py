@@ -23,8 +23,8 @@ bit and D, J, K are exactly 0 (the difference form leaves ~1e-31).  Then
 
 * entropy production  D(F) = 1/2 int alpha(|z|) sum_k u1_k^2 F
 * dissipation family  K_beta(F) = beta^{-2} int F^{1-2beta} (d_k d_k F^beta)^2
-                              = int F sum_k w^4 (u2_k + beta u1_k^2)^2
-  (beta = 0 is the log form int F sum_k w^4 u2_k^2)
+                              = int F sum_k w^4 (u2_k + beta u1_k^2)^2 = A + 2 beta B + beta^2 J
+  (A = int F sum_k w^4 u2_k^2 is K_0, the log form; B = int F sum_k w^4 u2_k u1_k^2)
 * quartic functional  J(F) = int F sum_k w^4 u1_k^4
 
 All three are evaluated by Monte Carlo over samples of F, with alpha the
@@ -32,15 +32,13 @@ regularized alpha_eta of a PotentialSpec and the pair singularity guarded
 (samples with |z| < 1e-12 are rejected and counted).
 ``k_family`` is the one Monte Carlo pass, and D and J are views of it: it
 draws the seeded sample in blocks of 16,384 samples with ``sample_blocks``
-and writes K_beta, J and D into one preallocated array per result,
-bit-identical to one whole-array batch (2^20 samples peak at 74 MB under
-tracemalloc, 98 MB with the whole sample, 302 MB as one batch).  Every
-per-sample operation runs over whole columns: z, g, u1 and u2 are (n, 3)
-arrays stored column by column, z x g and the sums over k are written out
-per column, because numpy applies ``np.sum(axis=1)``, ``np.cross`` and
-(n, 3) slicing arithmetic one 3-element row at a time, several times slower.
-Each column formula keeps numpy's order, (c0 + c1) + c2 for a sum, so the
-values keep their bits.  Entropy and Fisher use tensor-grid trapezoid
+and writes the per-sample D, J, A and B, which serve every beta, into one
+preallocated array each, bit-identical to one whole-array batch (2^20
+samples peak at 65 MB under tracemalloc).  z, g, u1 and u2 are (n, 3)
+arrays stored column by column, and z x g and the sums over k are written
+out per column (numpy's ``np.sum(axis=1)`` and ``np.cross`` loop over
+3-element rows, several times slower) in numpy's order, (c0 + c1) + c2 for
+a sum, so the values keep their bits.  Entropy and Fisher use tensor-grid trapezoid
 quadrature on 3D models, on a fixed grid of 129^3 points over the box that
 holds all but 1e-9 of the mass: one fine pass checks the mass and integrates
 H and I together, one 65^3 pass gives their error scale, and tensor powers
@@ -80,7 +78,6 @@ _SINGULAR_CUTOFF = 1e-12
 _MC_BLOCK = 2**14
 _GRID_POINTS = 129  # per axis of the H, I grid; odd, so the 65-point grid shares endpoints
 _GRID_TAIL = 1e-9  # the mass outside the H, I grid's box
-_K_ANCHOR = 1.0 / 3.0  # the beta of KFamilyResult.residual, always in a k_family
 
 
 @dataclass(frozen=True)
@@ -217,9 +214,11 @@ class _PairBatch:
     def j_samples(self):
         return self.w4 * _row_sum(self.u1sq * self.u1sq)
 
-    def k_samples(self, beta: float):
-        core = self.u2 + beta * self.u1sq
-        return self.w4 * _row_sum(core * core)
+    def a_samples(self):  # K_0, the beta-free term of K_beta
+        return self.w4 * _row_sum(self.u2 * self.u2)
+
+    def b_samples(self):  # half the coefficient of beta in K_beta
+        return self.w4 * _row_sum(self.u2 * self.u1sq)
 
 
 def _row_sum(a):
@@ -240,9 +239,10 @@ def _pair_difference(A):
     return out
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
+def _check_beta(*betas: float) -> None:
+    for beta in betas:
+        if not 0.0 <= beta <= 1.0:
+            raise ConfigError(f"beta must lie in [0, 1], got {beta}")
 
 
 def entropy_production_D(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
@@ -255,15 +255,23 @@ def J_functional(model: DensityModel, pot, mc: MCSpec) -> FunctionalEstimate:
     return k_family(model, [], pot, mc).J
 
 
+def _k_samples(parts, beta: float):  # per-sample K_beta of (A, B, J)
+    a, b, j = parts
+    return a + 2.0 * beta * b + beta * beta * j
+
+
 @dataclass
 class KFamilyResult:
     """Shared-sample estimates of the K_beta family plus J and D.
 
-    residual(beta) returns the estimate of K_beta - K_{1/3} - (beta-1/3)^2 J,
-    whose exact value is 0; its standard error is computed on the combined
-    per-sample array, which is the tight test statistic.  Per sample it is
-    (2 beta - 2/3) w^4 sum_k (u1_k^2 u2_k + u1_k^4 / 3): (2 beta - 2/3) times
-    int (ddF)(dF)^2/F^2 - (2/3) J, zero by parts as the bt_k are divergence-free.
+    K_beta = A + 2 beta B + beta^2 J per sample, so the per-sample A, B and J
+    serve every beta in [0, 1].  An estimate is the mean and standard error of
+    one array formed in the order written: estimates[beta] (requested betas
+    only) of (A + (2 beta) B) + beta^2 J; difference(a, b) = K_a - K_b of
+    (a - b) (2 B + (a + b) J); residual(beta) of (2 (3 beta - 1) / 3) (B + J / 3),
+    K_beta - K_{1/3} - (beta - 1/3)^2 J: 2 (beta - 1/3) times the integrand of
+    int (ddF)(dF)^2/F^2 - (2/3) J = 0 (by parts: the bt_k are divergence-free).
+    Without betas both methods raise ConfigError.
     """
 
     estimates: dict
@@ -271,54 +279,55 @@ class KFamilyResult:
     D: FunctionalEstimate
     n: int
     n_rejected: int
-    _samples: dict = field(repr=False, default_factory=dict)
+    _parts: tuple = field(repr=False, default=None)  # per-sample (A, B, J)
+
+    def _parts_at(self, *betas):
+        if self._parts is None:
+            raise ConfigError("K_beta needs at least one beta in the k_family call")
+        _check_beta(*betas)
+        return self._parts
 
     def residual(self, beta: float) -> FunctionalEstimate:
-        arr = (self._samples[beta] - self._samples[_K_ANCHOR]
-               - (beta - _K_ANCHOR) ** 2 * self._samples["J"])
+        _, b, j = self._parts_at(beta)
+        arr = 2.0 * (3.0 * beta - 1.0) / 3.0 * (b + j / 3.0)  # 0 at beta = 1/3
         return _mc_estimate(arr, self.n_rejected)
 
-    def difference(self, a, b) -> FunctionalEstimate:
-        """Shared-sample estimate of K_a - K_b (a, b in the beta set or 'J')."""
-        return _mc_estimate(self._samples[a] - self._samples[b], self.n_rejected)
+    def difference(self, a: float, b: float) -> FunctionalEstimate:
+        _, bb, j = self._parts_at(a, b)
+        return _mc_estimate((a - b) * (2.0 * bb + (a + b) * j), self.n_rejected)
 
 
 def k_family(model: DensityModel, betas, pot, mc: MCSpec) -> KFamilyResult:
     """Evaluate K_beta for several beta in [0, 1], J and D on one shared sample set.
 
     A 3-dimensional model rho is taken as the pair tensor rho x rho.  Each
-    block of _MC_BLOCK seeded sample rows writes its values at the running
-    kept offset of one array per result (bit for bit one batch).  Fewer
-    than two kept samples raise CoverageError.
+    block of _MC_BLOCK seeded sample rows writes D, J and, if a beta is
+    requested, A and B at the running kept offset of one array each (bit for
+    bit one batch).  Fewer than two kept samples raise CoverageError.
     """
     if model.dim == 3:
         model = TensorPower(model, 2)
     betas = list(betas)
-    for beta in betas:
-        _check_beta(beta)
-    if betas and _K_ANCHOR not in betas:  # the anchor of residual()
-        betas.append(_K_ANCHOR)
+    _check_beta(*betas)
     n = mc.n_samples
-    ks, j, d = [np.empty(n) for _ in betas], np.empty(n), np.empty(n)
+    out = [np.empty(n) for _ in range(4 if betas else 2)]  # D, J[, A, B]
     kept = nr = 0
     for X in model.sample_blocks(np.random.default_rng(mc.seed), n, _MC_BLOCK):
         batch = _PairBatch(model, pot, X)
-        rows = slice(kept, kept + batch.n)
-        for out, beta in zip(ks, betas):
-            out[rows] = batch.k_samples(beta)
-        j[rows], d[rows] = batch.j_samples(), batch.d_samples()
+        fields = (batch.d_samples, batch.j_samples, batch.a_samples, batch.b_samples)
+        for arr, values in zip(out, fields):
+            arr[kept:kept + batch.n] = values()
         kept += batch.n
         nr += batch.n_rejected
     if kept < 2:  # a mean and its standard error need two samples
         raise CoverageError(
             f"{kept} of {n} Monte Carlo samples kept, {nr} rejected with |z| < "
             f"{_SINGULAR_CUTOFF:g}; an estimate needs at least 2")
-    ks, j, d = [k[:kept] for k in ks], j[:kept], d[:kept]
-    samples = dict(zip(betas, ks), J=j)
-    estimates = {beta: _mc_estimate(samples[beta], nr) for beta in betas}
+    d, j, *ab = (arr[:kept] for arr in out)
+    parts = (*ab, j) if ab else None
+    estimates = {beta: _mc_estimate(_k_samples(parts, beta), nr) for beta in betas}
     return KFamilyResult(estimates=estimates, J=_mc_estimate(j, nr),
-                         D=_mc_estimate(d, nr), n=j.size, n_rejected=nr,
-                         _samples=samples)
+                         D=_mc_estimate(d, nr), n=kept, n_rejected=nr, _parts=parts)
 
 
 def beta_power_identity_probes(model: DensityModel, pot, beta: float, X) -> float:
@@ -331,27 +340,22 @@ def beta_power_identity_probes(model: DensityModel, pot, beta: float, X) -> floa
     dd(log F) = ddF/F - (dF)^2/F^2.  Denominators are floored at 1e-30.
     """
     batch = _PairBatch(model, pot, np.atleast_2d(X))
-    w2 = np.sqrt(batch.alpha) / batch.r
-    worst = 0.0
-    for k in range(3):
-        u1, u1sq, u2 = batch.u1[:, k], batch.u1sq[:, k], batch.u2[:, k]
-        sq = w2 * u1sq                     # (dF)^2 / F^2 contribution
-        mixed = w2 * (u1sq + u2)           # ddF / F contribution
-        if beta == 0.0:
-            lhs = w2 * u2
-            rhs = mixed - sq
-        else:
-            # G = F^beta has log-grad beta*grad log F, so u1_G = beta*u1 and
-            # u2_G = beta*u2; the left side is w^2 (u1_G^2 + u2_G) / beta.
-            lhs = w2 * ((beta * u1) ** 2 + beta * u2) / beta
-            rhs = mixed + (beta - 1.0) * sq
-        # normalize by the largest additive term so that the benign
-        # cancellation between the two contributions is not amplified
-        scale = np.maximum.reduce([np.abs(lhs), np.abs(rhs), np.abs(sq),
-                                   np.abs(mixed)])
-        scale = np.maximum(scale, 1e-30)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-    return worst
+    w2 = (np.sqrt(batch.alpha) / batch.r)[:, None]
+    u1, u1sq, u2 = batch.u1, batch.u1sq, batch.u2
+    sq = w2 * u1sq                     # (dF)^2 / F^2 contribution
+    mixed = w2 * (u1sq + u2)           # ddF / F contribution
+    if beta == 0.0:
+        lhs = w2 * u2
+        rhs = mixed - sq
+    else:
+        # G = F^beta has log-grad beta*grad log F, so u1_G = beta*u1 and
+        # u2_G = beta*u2; the left side is w^2 (u1_G^2 + u2_G) / beta.
+        lhs = w2 * ((beta * u1) ** 2 + beta * u2) / beta
+        rhs = mixed + (beta - 1.0) * sq
+    # normalize by the largest additive term so that the benign
+    # cancellation between the two contributions is not amplified
+    scale = np.maximum.reduce([np.abs(lhs), np.abs(rhs), np.abs(sq), np.abs(mixed)])
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(scale, 1e-30)))
 
 
 def tensor_consistency_D(rho: DensityModel, j: int, pot, mc: MCSpec):

@@ -147,9 +147,10 @@ def load_config(path) -> SimConfig:
 
 def load_trajectory(run_dir) -> Trajectory:
     """Rebuild a Trajectory (snapshots + diagnostics) from a saved run.  An
-    unreadable file, invalid JSON, a manifest without a key it needs or a
+    unreadable file, invalid JSON, a manifest without a key it needs or with
+    a value of the wrong type, a diagnostics row that is not an object or a
     snapshot that does not hold the config's particles is a ConfigError that
-    names the file (and the line of a JSON error)."""
+    names the file (and the line of a JSON error or row)."""
     run = Path(run_dir)
     path = run / "manifest.json"
     manifest = _read_json(path, f"saved run {run}")
@@ -157,17 +158,26 @@ def load_trajectory(run_dir) -> Trajectory:
                if not isinstance(manifest, dict) or key not in manifest]
     if missing:
         raise ConfigError(f"{path}: a run manifest without the keys {missing}")
+    names = manifest["snapshots"]
+    if not (isinstance(manifest["format"], str) and isinstance(manifest["status"], str)
+            and isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ConfigError(f"{path}: format and status must be strings and snapshots "
+                          f"a list of file names")
     traj = Trajectory(config=_config_from(manifest["config"], path))
     _, reader = _snapshot_io(manifest["format"])
     n = traj.config.n_particles
     try:
-        traj.snapshots = [reader(run / name, n) for name in manifest["snapshots"]]
+        traj.snapshots = [reader(run / name, n) for name in names]
     except OSError as exc:
         raise ConfigError(f"cannot read saved run {run}: {exc}") from exc
     diag_path = run / "diagnostics.jsonl"
     if diag_path.exists():
-        lines = enumerate(diag_path.read_text().splitlines(), 1)
-        traj.diagnostics = [_parse_json(text, diag_path, k) for k, text in lines if text.strip()]
+        for k, text in enumerate(diag_path.read_text().splitlines(), 1):
+            if text.strip():
+                row = _parse_json(text, diag_path, k)
+                if not isinstance(row, dict):
+                    raise ConfigError(f"{diag_path}: line {k} is not a JSON object")
+                traj.diagnostics.append(row)
     if manifest["status"] != "ok":
         traj.error = _parse_json(manifest["status"], f"{path} status")
     return traj

@@ -227,8 +227,8 @@ def test_k_family_quadratic_identity(aniso_pair, pot_gm2):
         assert abs(res.value) <= max(4.0 * res.abs_error, 1e-12)
     # anchoring at beta = 1 instead of 1/3 must not change the conclusion:
     # K_beta - K_1 - [(beta-1/3)^2 - (2/3)^2] J estimates zero as well
-    arr = (fam._samples[0.0] - fam._samples[1.0]
-           - ((0.0 - 1 / 3) ** 2 - (1.0 - 1 / 3) ** 2) * fam._samples["J"])
+    k0, k1 = (functionals._k_samples(fam._parts, beta) for beta in (0.0, 1.0))
+    arr = k0 - k1 - ((0.0 - 1 / 3) ** 2 - (1.0 - 1 / 3) ** 2) * fam._parts[2]
     se = float(np.std(arr, ddof=1) / math.sqrt(fam.n))
     assert abs(float(np.mean(arr))) <= max(4.0 * se, 1e-12)
 
@@ -245,12 +245,37 @@ def test_k_family_sandwich_bounds(aniso_pair, pot_gm2):
         assert kb.value <= k1.value + slack
 
 
-def test_k_family_always_contains_the_anchor(aniso_pair, pot_gm2):
-    fam = k_family(aniso_pair, [0.0], pot_gm2, MCSpec(10_000, 3))
-    assert 1.0 / 3.0 in fam.estimates
+@pytest.mark.parametrize("betas", [[], [0.0], [1.0, 0.25, 0.0]])
+def test_k_family_estimates_exactly_the_requested_betas(aniso_pair, pot_gm2, betas):
+    fam = k_family(aniso_pair, betas, pot_gm2, MCSpec(1000, 3))
+    assert list(fam.estimates) == betas
+
+
+def test_k_family_difference_needs_no_anchor(aniso_pair, pot_gm2):
+    # K_{1/3} is a view of every family with a beta, not a hidden member
+    mc = MCSpec(10_000, 3)
+    fam = k_family(aniso_pair, [0.0], pot_gm2, mc)
+    both = k_family(aniso_pair, [0.0, 1.0 / 3.0], pot_gm2, mc)
     d = fam.difference(0.0, 1.0 / 3.0)
     assert d.value == pytest.approx(
-        fam.estimates[0.0].value - fam.estimates[1 / 3].value, rel=1e-12)
+        both.estimates[0.0].value - both.estimates[1 / 3].value, rel=1e-12)
+
+
+def test_residual_and_difference_take_any_beta_in_range(aniso_pair, pot_gm2):
+    mc = MCSpec(10_000, 3)
+    fam = k_family(aniso_pair, [0.0, 1.0], pot_gm2, mc)
+    wide = k_family(aniso_pair, [0.0, 0.5, 1.0], pot_gm2, mc)
+    assert fam.residual(0.5) == wide.residual(0.5)
+    assert fam.difference(0.5, 1.0) == wide.difference(0.5, 1.0)
+    for beta in (-0.1, 2.0, float("nan")):
+        with pytest.raises(ConfigError, match=r"beta must lie in \[0, 1\]"):
+            fam.residual(beta)
+        with pytest.raises(ConfigError, match=r"beta must lie in \[0, 1\]"):
+            fam.difference(0.5, beta)
+    bare = k_family(aniso_pair, [], pot_gm2, mc)
+    for call in (lambda: bare.residual(1.0), lambda: bare.difference(0.0, 1.0)):
+        with pytest.raises(ConfigError, match="K_beta needs at least one beta"):
+            call()
 
 
 @pytest.mark.parametrize("beta", [-0.1, 1.5, float("nan")])
@@ -281,9 +306,12 @@ def test_ibp_identity_normalized_scalar(aniso_pair, pot_gm2):
     # the IBP residual normalized by J, (3/4) residual(1) / J, is resolved
     # to better than 1 %
     assert 0.75 * res.abs_error / fam.J.value < 0.01
-    # the per-sample scaling: residual(0) / (-2/3) == residual(1) / (4/3)
-    assert fam.residual(0.0).value / (-2.0 / 3.0) == pytest.approx(
-        res.value / (4.0 / 3.0), rel=1e-9)
+    # the per-sample scaling, exact: residual(beta) is one integrand times a
+    # factor that is 0 at 1/3 and the rounded -2/3 and 4/3 at 0 and 1
+    r0, third = fam.residual(0.0), fam.residual(1.0 / 3.0)
+    assert r0.value / (-2.0 / 3.0) == res.value / (4.0 / 3.0)
+    assert r0.abs_error / (2.0 / 3.0) == res.abs_error / (4.0 / 3.0)
+    assert (third.value, third.abs_error) == (0.0, 0.0)
 
 
 def test_ibp_residual_se_shrinks_like_sqrt_n(aniso_pair, pot_gm2):
@@ -409,6 +437,9 @@ def test_lean_fields_match_stacked_kernels(make_model, pot_gm2):
     np.testing.assert_allclose(batch.u2, u2, rtol=1e-12)
 
 
+_DIRECT_BETAS = (0.0, 1.0 / 3.0, 0.5, 1.0)
+
+
 def _row_wise_fields(model, pot, X):
     """The pair fields as numpy's row-wise forms give them (np.sum over
     axis 1, np.cross, (n, 3) slice differences): the reference for the
@@ -433,8 +464,9 @@ def _row_wise_fields(model, pot, X):
         u2[:, k] = model.log_hess_quadform(X, U) + curv
     fields = {"r": r, "alpha": alpha, "w4": w4, "u1": u1, "u1sq": u1sq, "u2": u2,
               "D": 0.5 * alpha * np.sum(u1sq, axis=1),
-              "J": w4 * np.sum(u1sq * u1sq, axis=1)}
-    for beta in (0.0, 0.5, 1.0):
+              "J": w4 * np.sum(u1sq * u1sq, axis=1),
+              "A": w4 * np.sum(u2 * u2, axis=1), "B": w4 * np.sum(u2 * u1sq, axis=1)}
+    for beta in _DIRECT_BETAS:  # the direct form w^4 sum_k (u2_k + beta u1_k^2)^2
         core = u2 + beta * u1sq
         fields[beta] = w4 * np.sum(core * core, axis=1)
     return fields
@@ -460,13 +492,32 @@ def test_column_pair_fields_have_the_bits_of_the_row_wise_forms(make_model, pot_
     batch = _PairBatch(model, pot_gm2, X)
     got = {"r": batch.r, "alpha": batch.alpha, "w4": batch.w4, "u1": batch.u1,
            "u1sq": batch.u1sq, "u2": batch.u2, "D": batch.d_samples(),
-           "J": batch.j_samples()}
-    got.update((beta, batch.k_samples(beta)) for beta in (0.0, 0.5, 1.0))
+           "J": batch.j_samples(), "A": batch.a_samples(), "B": batch.b_samples()}
     expect = _row_wise_fields(model, pot_gm2, X)
     assert batch.n_rejected == 2
-    for name, val in expect.items():
-        assert val.shape == got[name].shape, name
-        assert np.ascontiguousarray(got[name]).tobytes() == np.ascontiguousarray(val).tobytes(), name
+    for name, val in got.items():
+        assert val.shape == expect[name].shape, name
+        assert np.ascontiguousarray(val).tobytes() == np.ascontiguousarray(expect[name]).tobytes(), name
+    assert got["A"].tobytes() == expect[0.0].tobytes()  # A is the direct K_0
+
+
+@pytest.mark.parametrize("make_model", [lambda: TensorPower(bimodal(3.0), 2),
+                                        _full_covariance_pair],
+                         ids=["bimodal_pair", "full_cov_gaussian"])
+def test_k_polynomial_agrees_with_the_direct_form(monkeypatch, make_model, pot_gm2):
+    # per sample, A + 2 beta B + beta^2 J and w^4 sum_k (u2_k + beta u1_k^2)^2
+    # round differently; they agree to a few ulp of A + 2 beta |B| + beta^2 J
+    model = make_model()
+    X = model.sample(np.random.default_rng(12), 5000)
+    monkeypatch.setattr(model, "sample_blocks", lambda rng, n, rows: _row_blocks(X, rows))
+    fam = k_family(model, [0.5], pot_gm2, MCSpec(5000, 0))
+    a, b, j = fam._parts
+    direct = _row_wise_fields(model, pot_gm2, X)
+    for beta in _DIRECT_BETAS:
+        poly = functionals._k_samples(fam._parts, beta)
+        scale = a + 2.0 * beta * np.abs(b) + beta * beta * j
+        assert np.all(np.abs(poly - direct[beta]) <= 8 * np.finfo(float).eps * scale), beta
+    assert functionals._k_samples(fam._parts, 0.0).tobytes() == direct[0.0].tobytes()
 
 
 # k_family([0, 1/3, 1]) at seed 17 over 40,000 samples (two full 16,384-row
@@ -562,7 +613,7 @@ def test_D_and_J_need_no_hessian_form(aniso_pair, pot_gm2):
     assert J_functional(model, pot_gm2, mc) == J_functional(aniso_pair, pot_gm2, mc)
     with pytest.raises(CapabilityError):
         k_family(model, [1.0], pot_gm2, mc)
-    fam = k_family(model, [], pot_gm2, mc)  # no beta, no anchor, no u2
+    fam = k_family(model, [], pot_gm2, mc)  # no beta, no u2
     assert fam.D == entropy_production_D(aniso_pair, pot_gm2, mc)
     assert fam.J == J_functional(aniso_pair, pot_gm2, mc)
 
@@ -625,9 +676,8 @@ def test_blocked_pair_fields_equal_one_whole_batch(monkeypatch, pot_gm2, preset)
 
     whole = _PairBatch(model, pot_gm2, X)
     fam = k_family(model, betas, pot_gm2, MCSpec(_BLOCKED_N, 0))
-    for beta in betas:
-        assert np.array_equal(fam._samples[beta], whole.k_samples(beta))
-    assert np.array_equal(fam._samples["J"], whole.j_samples())
+    for part, field in zip(fam._parts, (whole.a_samples, whole.b_samples, whole.j_samples)):
+        assert np.array_equal(part, field())
 
     monkeypatch.setattr(functionals, "_MC_BLOCK", _BLOCKED_N)  # one batch
     assert _pair_functional_results(model, pot_gm2, betas) == blocked
@@ -649,6 +699,18 @@ def test_k_family_memory_peak_is_bounded(aniso_pair, pot_gm2):
     peak = _traced_peak(lambda: k_family(aniso_pair, [0.0, 1.0 / 3.0, 1.0], pot_gm2,
                                          MCSpec(2**18, 1)))
     assert peak < 35e6, peak
+
+
+def test_k_family_memory_does_not_grow_with_the_betas(aniso_pair, pot_gm2):
+    # D, J, A and B serve every beta; one K_beta array per beta and a hidden
+    # K_{1/3} held nine 2.1 MB arrays for six betas, six for (0, 0.5, 1), and
+    # peaked 6.3 MB higher; now each estimate is formed, reduced and dropped
+    def peak(betas):
+        return _traced_peak(lambda: k_family(aniso_pair, betas, pot_gm2, MCSpec(2**18, 1)))
+
+    three = peak([0.0, 0.5, 1.0])
+    six = peak([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    assert six <= three + 1e6, (six, three)
 
 
 def test_k_family_streams_its_last_sample_factor(aniso_pair, pot_gm2):

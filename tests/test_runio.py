@@ -84,16 +84,26 @@ def _drop_manifest_format(out):
     (out / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _set_manifest(key, value):
+    def damage(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[key] = value
+        (out / "manifest.json").write_text(json.dumps(manifest))
+    return damage
+
+
+def _set_diagnostics_line(text):
+    def damage(out):
+        lines = (out / "diagnostics.jsonl").read_text().splitlines()
+        lines[2] = text
+        (out / "diagnostics.jsonl").write_text("\n".join(lines) + "\n")
+    return damage
+
+
 def _break_diagnostics_line(out):
     lines = (out / "diagnostics.jsonl").read_text().splitlines()
     lines[2] = lines[2][:-1]  # the third row loses its closing brace
     (out / "diagnostics.jsonl").write_text("\n".join(lines) + "\n")
-
-
-def _make_manifest_config_a_number(out):
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"] = 3
-    (out / "manifest.json").write_text(json.dumps(manifest))
 
 
 def _drop_snapshot_time(out):
@@ -116,13 +126,21 @@ def _drop_snapshot_row(out):
 @pytest.mark.parametrize("damage, match", [
     (_break_manifest_json, r"manifest\.json: invalid JSON at line 1, column 18"),
     (_drop_manifest_format, r"manifest\.json: .*\['format'\]"),
-    (_make_manifest_config_a_number, r"manifest\.json: config must be a JSON object"),
+    (_set_manifest("config", 3), r"manifest\.json: config must be a JSON object"),
     (_break_diagnostics_line, r"diagnostics\.jsonl: invalid JSON at line 3"),
+    (_set_manifest("format", []), r"manifest\.json: format and status must be strings"),
+    (_set_manifest("snapshots", 5), r"manifest\.json: .* snapshots a list of file names"),
+    (_set_manifest("snapshots", [5]), r"manifest\.json: .* snapshots a list of file names"),
+    (_set_manifest("status", 5), r"manifest\.json: format and status must be strings"),
+    (_set_diagnostics_line("5"), r"diagnostics\.jsonl: line 3 is not a JSON object"),
+    (_set_diagnostics_line("[1,2]"), r"diagnostics\.jsonl: line 3 is not a JSON object"),
     (_drop_snapshot_time, r"snap_000001\.csv: a snapshot header without t="),
     (_break_snapshot_row, r"snap_000001\.csv: a damaged snapshot: .*'abc'"),
     (_drop_snapshot_row, r"snap_000001\.csv: velocities of shape \(11, 3\), "
                          r"where the run has \(12, 3\)"),
 ], ids=["manifest_json", "manifest_key", "manifest_config", "diagnostics_line",
+        "manifest_format_type", "manifest_snapshots_type", "manifest_snapshot_name_type",
+        "manifest_status_type", "diagnostics_number", "diagnostics_list",
         "snapshot_header", "snapshot_row", "snapshot_rows"])
 def test_load_rejects_a_damaged_run_naming_the_file(tmp_path, capsys, damage, match):
     out = save_trajectory(run(_small_cfg()), tmp_path / "run", "csv")
