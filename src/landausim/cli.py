@@ -5,10 +5,11 @@ Subcommands:
 * ``simulate``    run one particle simulation from a JSON config into a run
                   directory (manifest, snapshots, diagnostics.jsonl);
 * ``functionals`` evaluate H, I, D, J, K_beta on a named density preset;
-                  asked for H or I and for D, J or K, it runs the H/I
-                  quadrature on one worker thread beside the Monte Carlo
-                  pass, with the output and error order of running the
-                  quadrature first;
+                  asked for H or I, it runs the H/I quadrature on one
+                  worker thread, beside the Monte Carlo pass when D, J or K
+                  is asked for too, with the output and error order of
+                  running the quadrature first; a request without H or I
+                  starts no thread;
 * ``sweep``       grid of simulations over one config axis x seeds, with a
                   per-run summary table and per-value medians;
 * ``plotdata``    flatten a run's diagnostics.jsonl into tidy CSV;
@@ -22,9 +23,11 @@ configuration or arguments.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -126,35 +129,25 @@ def _cmd_functionals(args) -> int:
         rec.update(extra)
         print(json.dumps(rec, sort_keys=True))
 
-    def emit_grid(estimates):
-        for name, est in estimates.items():
-            emit(name, est)
-
-    # one grid pass serves the mass check, H and I; one sample batch serves
-    # D, J and K_beta
+    # one grid pass on the worker serves the mass check, H and I, while one
+    # sample batch on this thread serves D, J and K_beta
     grid = [w for w in ("H", "I") if w in which]
-    if grid and needs_pair:  # the grid pass runs on one worker thread meanwhile
-        import contextvars
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1) as pool:
-            # the caller's context carries numpy's errstate into the worker
-            job = pool.submit(contextvars.copy_context().run,
-                              grid_functionals, model, grid)
-            try:
+    with ThreadPoolExecutor(1) as pool:  # no thread starts until a submit
+        # the caller's context carries numpy's errstate into the worker
+        job = grid and pool.submit(contextvars.copy_context().run,
+                                   grid_functionals, model, grid)
+        try:
+            if needs_pair:
                 fam = k_family(model, betas, pot, mc)
-            finally:  # the grid's records, or its error, come first
-                emit_grid(job.result())
-    elif grid:
-        emit_grid(grid_functionals(model, grid))
-    elif needs_pair:
-        fam = k_family(model, betas, pot, mc)
-    if needs_pair:
-        if "D" in which:
-            emit("D", fam.D)
-        if "J" in which:
-            emit("J", fam.J)
-        for b in betas:
-            emit("K_beta", fam.estimates[b], beta=b)
+        finally:  # the grid's records, or its error, come first
+            for name, est in (job.result() if job else {}).items():
+                emit(name, est)
+    if "D" in which:
+        emit("D", fam.D)
+    if "J" in which:
+        emit("J", fam.J)
+    for b in betas:  # betas is empty unless K is asked for
+        emit("K_beta", fam.estimates[b], beta=b)
     return 0
 
 

@@ -202,6 +202,9 @@ class GaussianMixtureModel(DensityModel):
             raise ValueError(f"mixture weights must be finite and >= 0, got {self.weights}")
         if not np.isclose(self.weights.sum(), 1.0):
             raise ValueError("mixture weights must sum to 1")
+        if self.weights.shape != (len(means),) or len(covs) != len(means):
+            raise ValueError(f"mixture needs one mean and cov per weight, got {self.weights.shape}"
+                             f" weights, {len(means)} means and {len(covs)} covs")
         self.components = [GaussianModel(m, c) for m, c in zip(means, covs)]
         self.dim = self.components[0].dim
         if any(c.dim != self.dim for c in self.components):
@@ -329,61 +332,52 @@ class TensorPower(DensityModel):
         return np.tile(lo, self.j), np.tile(hi, self.j)
 
 
-class ScaledModel(DensityModel):
-    """Dilation f_lam(x) = lam^dim f(lam x); lam > 1 concentrates the mass."""
+class _AffineModel(DensityModel):
+    """Pull-back f(x) = lam^dim g(lam (x - shift)) of a base model g; lam = 1 and
+    shift = 0 add no rounding, so each subclass keeps its own formulas' values."""
 
-    def __init__(self, base: DensityModel, lam: float):
+    def __init__(self, base: DensityModel, lam: float, shift):
         self.lam = float(lam)
         if not 0.0 < self.lam < math.inf:  # a NaN scale fails too
             raise ValueError(f"scale must be finite and positive, got {lam!r}")
-        self.base = base
-        self.dim = base.dim
-
-    def log_density(self, X):
-        X = np.atleast_2d(X)
-        return self.dim * math.log(self.lam) + self.base.log_density(self.lam * X)
-
-    def log_grad(self, X):
-        X = np.atleast_2d(X)
-        return self.lam * self.base.log_grad(self.lam * X)
-
-    def log_hess_quadform(self, X, U):
-        X = np.atleast_2d(X)
-        return self.lam**2 * self.base.log_hess_quadform(self.lam * X, U)
-
-    def sample(self, rng, n):
-        return self.base.sample(rng, n) / self.lam
-
-    def bounding_box(self, tail_mass: float = 1e-8):
-        lo, hi = self.base.bounding_box(tail_mass)
-        return lo / self.lam, hi / self.lam
-
-
-class ShiftedModel(DensityModel):
-    """Translation f(x - m) of a base model."""
-
-    def __init__(self, base: DensityModel, shift):
         self.base = base
         self.shift = np.asarray(shift, dtype=float)
         self.dim = base.dim
         if self.shift.shape != (self.dim,) or not np.all(np.isfinite(self.shift)):
             raise ValueError(f"shift must be {self.dim} finite values, got {shift!r}")
 
+    def _pull(self, X):
+        return self.lam * (np.atleast_2d(X) - self.shift)
+
     def log_density(self, X):
-        return self.base.log_density(np.atleast_2d(X) - self.shift)
+        return self.dim * math.log(self.lam) + self.base.log_density(self._pull(X))
 
     def log_grad(self, X):
-        return self.base.log_grad(np.atleast_2d(X) - self.shift)
+        return self.lam * self.base.log_grad(self._pull(X))
 
     def log_hess_quadform(self, X, U):
-        return self.base.log_hess_quadform(np.atleast_2d(X) - self.shift, U)
+        return self.lam**2 * self.base.log_hess_quadform(self._pull(X), U)
 
     def sample(self, rng, n):
-        return self.base.sample(rng, n) + self.shift
+        return self.base.sample(rng, n) / self.lam + self.shift
 
     def bounding_box(self, tail_mass: float = 1e-8):
         lo, hi = self.base.bounding_box(tail_mass)
-        return lo + self.shift, hi + self.shift
+        return lo / self.lam + self.shift, hi / self.lam + self.shift
+
+
+class ScaledModel(_AffineModel):
+    """Dilation f_lam(x) = lam^dim f(lam x); lam > 1 concentrates the mass."""
+
+    def __init__(self, base: DensityModel, lam: float):
+        super().__init__(base, lam, np.zeros(base.dim))
+
+
+class ShiftedModel(_AffineModel):
+    """Translation f(x - m) of a base model."""
+
+    def __init__(self, base: DensityModel, shift):
+        super().__init__(base, 1.0, shift)
 
 
 _GRID_CHUNK = 2**16  # points per evaluation chunk of grid_integrate

@@ -123,6 +123,9 @@ class SimConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.t_end >= 0 and np.isfinite(self.t_end)):
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
+        if not np.isfinite(self.t_end / self.dt):  # n_steps rounds this to an int
+            raise ConfigError(f"t_end / dt must be a finite step count, "
+                              f"got {self.t_end} / {self.dt}")
         if not (self.eta_c > 0 and np.isfinite(self.eta_c)):
             raise ConfigError(f"eta_c must be a finite number > 0, got {self.eta_c}")
         if not (self.eta_kappa >= 0 and np.isfinite(self.eta_kappa)):

@@ -8,14 +8,14 @@ class ConfigError(ValueError):
 class BlowupError(RuntimeError):
     """Integration produced a non-finite velocity.
 
-    Carries the step index at which the blowup was detected and, when raised
-    from a full run, the partial trajectory recorded up to that step.
+    Carries the step index at which the blowup was detected and, once a full
+    run has attached it, the partial trajectory recorded up to that step.
     """
 
-    def __init__(self, step_index, message=None, trajectory=None):
-        super().__init__(message or f"non-finite velocity at step {step_index}")
+    def __init__(self, step_index):
+        super().__init__(f"non-finite velocity at step {step_index}")
         self.step_index = step_index
-        self.trajectory = trajectory
+        self.trajectory = None
 
 
 class CoverageError(RuntimeError):

@@ -135,6 +135,19 @@ def test_bad_g0_exits_2_before_any_output(tmp_path, capsys, g0):
         assert not out.exists()
 
 
+def test_a_step_count_that_is_not_finite_exits_2_before_any_output(tmp_path, capsys):
+    # t_end / dt overflows: n_steps raised OverflowError after --out was made
+    bad = write_config(tmp_path / "bad.json", n_particles=4, gamma=0.0, dt=1e-300,
+                       t_end=1e300)
+    base = write_config(tmp_path / "base.json", n_particles=4, gamma=0.0, t_end=1e300)
+    for argv, out in ((["simulate", "--config", bad], tmp_path / "r"),
+                      (["sweep", "--config", base, "--axis", "dt",
+                        "--values", "1e-300"], tmp_path / "s")):
+        assert cli(*argv, "--out", out) == 2
+        assert "t_end / dt" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     for argv in (["simulate", "--config", missing, "--out", tmp_path / "r"],
@@ -441,10 +454,10 @@ def test_functionals_mc_error_follows_the_grid_records(monkeypatch, capsys, erro
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("which, started", [("H,I", 0), ("D,J,K", 0), ("I", 0),
+@pytest.mark.parametrize("which, started", [("H,I", 1), ("D,J,K", 0), ("I", 1),
                                             ("H,D", 1), ("K,I,J", 1)])
-def test_functionals_starts_a_thread_only_for_both_passes(monkeypatch, capsys,
-                                                          which, started):
+def test_functionals_starts_a_thread_only_for_the_grid(monkeypatch, capsys,
+                                                       which, started):
     threads = threading.active_count()
     starts = []
     start = threading.Thread.start

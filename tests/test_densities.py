@@ -140,6 +140,16 @@ def test_mixture_weights_must_be_finite_and_nonnegative(weights):
         GaussianMixtureModel(weights, [np.zeros(3)] * 2, [np.eye(3)] * 2)
 
 
+@pytest.mark.parametrize("n_weights, n_means, n_covs", [(2, 1, 1), (2, 2, 3), (2, 3, 3),
+                                                        (1, 1, 2)])
+def test_mixture_needs_one_mean_and_cov_per_weight(n_weights, n_means, n_covs):
+    # two weights over one component sampled rows of uninitialized memory,
+    # and zip dropped an extra cov
+    with pytest.raises(ValueError, match="one mean and cov per weight"):
+        GaussianMixtureModel(np.full(n_weights, 1.0 / n_weights), [np.zeros(3)] * n_means,
+                             [np.ones(3)] * n_covs)
+
+
 def test_mixture_density_is_weighted_sum():
     mix = _bimodal()
     x = np.array([[0.2, -0.4, 1.0], [2.0, 0.0, 0.0]])
@@ -406,6 +416,47 @@ def test_shifted_model(rng):
     lo0, hi0 = base.bounding_box()
     np.testing.assert_allclose(lo, lo0 + shift)
     np.testing.assert_allclose(hi, hi0 + shift)
+
+
+def _affine_cases(g, lam, s):
+    """Each wrapper over g and its formulas written out: log f, grad log f,
+    u^T Hess(log f) u, and the map that carries g's samples and box to it."""
+    return {
+        "scaled": (ScaledModel(g, lam),
+                   lambda X: 3 * math.log(lam) + g.log_density(lam * X),
+                   lambda X: lam * g.log_grad(lam * X),
+                   lambda X, U: lam**2 * g.log_hess_quadform(lam * X, U),
+                   lambda Y: Y / lam),
+        "shifted": (ShiftedModel(g, s),
+                    lambda X: g.log_density(X - s),
+                    lambda X: g.log_grad(X - s),
+                    lambda X, U: g.log_hess_quadform(X - s, U),
+                    lambda Y: Y + s),
+        "shifted_scaled": (ShiftedModel(ScaledModel(g, lam), s),
+                           lambda X: 3 * math.log(lam) + g.log_density(lam * (X - s)),
+                           lambda X: lam * g.log_grad(lam * (X - s)),
+                           lambda X, U: lam**2 * g.log_hess_quadform(lam * (X - s), U),
+                           lambda Y: Y / lam + s),
+    }
+
+
+@pytest.mark.parametrize("case", ["scaled", "shifted", "shifted_scaled"])
+@pytest.mark.parametrize("make_base", [_full_covariance_gaussian, lambda: bimodal(3.0)],
+                         ids=["gaussian", "bimodal"])
+def test_affine_wrappers_give_the_values_of_their_formulas(make_base, case):
+    g = make_base()
+    model, log_f, grad, quad, push = _affine_cases(g, 1.7, np.array([0.4, -1.2, 2.5]))[case]
+    rng = np.random.default_rng(11)
+    X = model.sample(rng, 4000)
+    X[::40] = 0.0
+    U = rng.normal(size=X.shape)
+    np.testing.assert_array_equal(model.log_density(X), log_f(X))
+    np.testing.assert_array_equal(model.log_grad(X), grad(X))
+    np.testing.assert_array_equal(model.log_hess_quadform(X, U), quad(X, U))
+    np.testing.assert_array_equal(model.sample(np.random.default_rng(5), 3000),
+                                  push(g.sample(np.random.default_rng(5), 3000)))
+    for got, base in zip(model.bounding_box(1e-6), g.bounding_box(1e-6)):
+        np.testing.assert_array_equal(got, push(base))
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])

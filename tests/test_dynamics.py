@@ -36,6 +36,8 @@ def test_config_validation():
         _cfg(dt=0.0)
     with pytest.raises(ConfigError):
         _cfg(t_end=-1.0)
+    with pytest.raises(ConfigError, match="step count"):  # t_end / dt overflows
+        _cfg(dt=1e-300, t_end=1e300)
     with pytest.raises(ConfigError):
         _cfg(seed=-1)
     with pytest.raises(ConfigError):
