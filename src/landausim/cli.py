@@ -39,10 +39,11 @@ from .diagnostics import (BumpWeakIntegrand, GaussianBumpFn, bl_distance,
 from .dynamics import SimConfig, run
 from .errors import BlowupError, ConfigError, CoverageError
 from .estimators import EmpiricalMeasure, PairStats, knn_entropy
-from .functionals import (MCSpec, _check_beta, entropy, entropy_production_D,
-                          fisher_information, grid_functionals, k_family)
+from .functionals import (MCSpec, _check_beta, entropy_production_D, grid_functionals,
+                          k_family)
 from .potentials import PotentialSpec, default_eta
-from .reference import matched_maxwellian, maxwellian_entropy, resolve_preset
+from .reference import (matched_maxwellian, maxwellian_entropy, maxwellian_fisher,
+                        resolve_preset)
 from .runio import SNAPSHOT_FORMATS, load_config, load_trajectory, save_trajectory
 
 __all__ = ["main"]
@@ -309,10 +310,9 @@ def _cmd_verify(args) -> int:
 
     def closed_forms():
         g = GaussianModel(np.zeros(3), np.eye(3))
-        h = entropy(g).value
-        i = fisher_information(g).value
-        eh = abs(h - maxwellian_entropy(1.0))
-        ei = abs(i - 3.0)
+        est = grid_functionals(g, ("H", "I"))
+        eh = abs(est["H"].value - maxwellian_entropy(1.0))
+        ei = abs(est["I"].value - maxwellian_fisher(1.0))
         return eh < 1e-6 and ei < 1e-6, f"|dH|={eh:.2e} |dI|={ei:.2e}"
 
     def maxwellian_zero():

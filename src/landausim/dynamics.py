@@ -34,13 +34,14 @@ thread (a one-worker `ThreadPoolExecutor`): block 0's is submitted before
 the walk gathers block 0, and block k + 1's, into the walk's other noise
 slot, once block k's consumers have run and its noise is in.  So the
 numbers do not depend on thread timing.  The worker lives inside one
-`step` call and is shut down before the step returns or raises; a
-one-block step draws inline and starts no thread.  `_draw_noise` is the
-only way noise enters a step.  `Generator` releases the GIL while it
-fills, so the draw runs beside the kernel on a second core.
+`step` call, whose `with` block joins it; a one-block step submits
+nothing, so starts no thread, and draws inline after its consumers.
+`_draw_noise` is the only way noise enters a step.  `Generator` releases
+the GIL while it fills, so the draw runs beside the kernel on a second core.
 
 A `_PairWalk` holds one block of every temporary of that pass: the pair
-indices, z and |z|^2, two blocks of noise and the kernel terms.  `run`
+indices, z and |z|^2, two blocks of noise and the kernel terms; a
+one-block walk writes its pair indices once, when it is built.  `run`
 builds one before its first step and hands it to every step, so a run
 allocates no block-length array after it starts (freed and re-allocated
 blocks would be trimmed and faulted back in by the allocator on every
@@ -117,19 +118,26 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 kind = {int: "an int", str: "a preset string"}.get(kinds, "a number")
                 raise ConfigError(f"{name} must be {kind}, got {value!r}")
+            if kinds is not int and isinstance(value, _NUMBER):  # a real-valued field
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int beyond the float range
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.n_particles < 2:
             raise ConfigError(f"n_particles must be an int >= 2, got {self.n_particles}")
-        if not (self.dt > 0 and np.isfinite(self.dt)):
+        if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not (self.t_end >= 0 and np.isfinite(self.t_end)):
+        if not self.t_end >= 0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
-        if not np.isfinite(self.t_end / self.dt):  # n_steps rounds this to an int
+        if not math.isfinite(self.t_end / self.dt):  # n_steps rounds this to an int
             raise ConfigError(f"t_end / dt must be a finite step count, "
                               f"got {self.t_end} / {self.dt}")
-        if not (self.eta_c > 0 and np.isfinite(self.eta_c)):
-            raise ConfigError(f"eta_c must be a finite number > 0, got {self.eta_c}")
-        if not (self.eta_kappa >= 0 and np.isfinite(self.eta_kappa)):
-            raise ConfigError(f"eta_kappa must be a finite number >= 0, got {self.eta_kappa}")
+        if not self.eta_c > 0:
+            raise ConfigError(f"eta_c must be > 0, got {self.eta_c}")
+        if not self.eta_kappa >= 0:
+            raise ConfigError(f"eta_kappa must be >= 0, got {self.eta_kappa}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative int, got {self.seed}")
         if self.energy_mode not in ("none", "rescale"):
@@ -225,7 +233,8 @@ class _PairWalk:
     repeated n - 1 - i times (a stride-0 (3, n - 1 - i) view), and the
     tail, the columns > i.  A block's z = v[iu] - v[ju] is its rows' heads
     joined into a (3, m) buffer minus its rows' tails joined into another,
-    two calls per block and no index gather; r2 sums |z|^2 =
+    two calls per block and no index gather; iu and ju are joined from
+    row views too (once, when a one-block walk is built).  r2 sums |z|^2 =
     (z0^2 + z2^2) + z1^2, the order of einsum("pc,pc->p") on the
     row-major z, so r2 has the same bits; the gather takes terms[:3] as
     scratch.  The step draws each block's noise into `raw` in rank order
@@ -265,15 +274,9 @@ class _PairWalk:
         heads = np.broadcast_to(self.vt.T[:, :, None], (n, 3, n - 1))
         self._heads = [heads[i, :, :n - 1 - i] for i in range(n - 1)]
         self._tails = [self.vt[:, i + 1:] for i in range(n - 1)]
-        self._indexed = None  # first row of the block the indices hold
-
-    def _index(self, i0: int, stop: int, m: int) -> None:
-        """Write the m indices of the block of rows i0..stop-1 by joining
-        its rows' views (a one-block walk writes them once)."""
-        if self._indexed != i0:
-            np.concatenate(self._row_i[i0:stop], out=self.iu[:m])
-            np.concatenate(self._row_j[i0:stop], out=self.ju[:m])
-            self._indexed = i0
+        if len(self.sizes) == 1:  # the indices of the only block never change
+            np.concatenate(self._row_i, out=self.iu)
+            np.concatenate(self._row_j, out=self.ju)
 
     def blocks(self, v: np.ndarray):
         """Yield (iu, ju, z, r2, spare) per block, the arguments of a pair
@@ -289,7 +292,9 @@ class _PairWalk:
         np.copyto(self.vt, v.T)
         for m, i0 in zip(self.sizes, range(0, n - 1, self.rows)):
             stop = min(i0 + self.rows, n - 1)
-            self._index(i0, stop, m)
+            if len(self.sizes) > 1:
+                np.concatenate(self._row_i[i0:stop], out=self.iu[:m])
+                np.concatenate(self._row_j[i0:stop], out=self.ju[:m])
             iu, ju, z, r2 = self.iu[:m], self.ju[:m], self.z[:, :m], self.r2[:m]
             other = self.terms[:3, :m]
             np.concatenate(self._heads[i0:stop], axis=1, out=z)
@@ -390,8 +395,8 @@ def step(state: ParticleState, config: SimConfig, *, e_target: float | None = No
     the pair pass over the starting state, before the step checks its
     result (see `_PairWalk.blocks`).  The pass runs in `walk`'s buffers (a
     fresh walk when none is given).  With two or more blocks, one worker
-    thread draws each block's noise, one block ahead of the kernel; it is
-    shut down before the step returns or raises.
+    thread draws each block's noise, one block ahead of the kernel, and is
+    joined before the step returns or raises; one block is drawn inline.
     """
     pot = config.potential
     v = state.v
@@ -409,17 +414,15 @@ def step(state: ParticleState, config: SimConfig, *, e_target: float | None = No
     def draw(k):  # block k's keyed noise into the slot of its parity
         _draw_noise(stream, walk.raw, walk.noise[k % 2, :, :walk.sizes[k]], sqrt_dt)
 
-    pool = ThreadPoolExecutor(1) if last else None
-    try:
-        if pool is not None:
-            drawn = pool.submit(draw, 0)
+    with ThreadPoolExecutor(1) as pool:  # its thread starts at the first submit
+        drawn = pool.submit(draw, 0) if last else None
         for k, (iu, ju, z, r2, spare) in enumerate(walk.blocks(v)):
             m = iu.size
-            if pool is None:
-                draw(k)
             for c in consumers:
                 c.add(iu, ju, z, r2, spare)
-            if pool is not None:
+            if drawn is None:
+                draw(k)
+            else:
                 drawn.result()
                 if k < last:  # the slot of block k - 1 is free again
                     drawn = pool.submit(draw, k + 1)
@@ -427,9 +430,6 @@ def step(state: ParticleState, config: SimConfig, *, e_target: float | None = No
             scratch = (*walk.terms[3:, :m], walk.zdb[:m], walk.mask[:m])
             _pair_term(pot, z, r2, walk.noise[k % 2, :, :m], term, scratch, w_noise, w_drift)
             _scatter(term, iu, ju, walk.offsets[k], acc_i, acc_j)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     acc_i -= acc_j
     v_new = v + acc_i.T
 

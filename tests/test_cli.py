@@ -114,9 +114,11 @@ def test_simulate_unknown_config_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("gamma", "x"), ("dt", "1e-3"), ("t_end", None), ("eta", "0.1"), ("eta_c", [1.0]),
     ("eta_kappa", True), ("theta", "0.99"), ("seed", True), ("n_particles", 16.0),
-    ("snapshot_stride", False), ("snapshot_stride", "5")])
+    ("snapshot_stride", False), ("snapshot_stride", "5"),
+    *(pytest.param(key, 10 ** 400, id=f"{key}-10**400") for key in ("t_end", "dt", "eta"))])
 def test_simulate_non_numeric_config_value_exits_2(tmp_path, capsys, key, value):
-    # a string, list, null or bool where a number belongs is bad input, not a crash
+    # a string, list, null or bool where a number belongs, or an int no float
+    # can hold, is bad input, not a crash
     cfg = write_config(tmp_path / "c.json", **{key: value})
     out = tmp_path / "r"
     assert cli("simulate", "--config", cfg, "--out", out) == 2
@@ -714,10 +716,10 @@ def test_verify_all_checks_pass(capsys):
 
 
 def test_verify_reports_a_raising_check_as_a_failure(monkeypatch, capsys):
-    def broken(model):
+    def broken(model, which):
         raise RuntimeError("no grid")
 
-    monkeypatch.setattr(cli_module, "entropy", broken)
+    monkeypatch.setattr(cli_module, "grid_functionals", broken)
     assert cli("verify") == 1
     out = capsys.readouterr().out
     assert "FAIL  closed_forms(H, I on standard Gaussian)  [RuntimeError: no grid]" in out

@@ -38,6 +38,10 @@ def test_config_validation():
         _cfg(t_end=-1.0)
     with pytest.raises(ConfigError, match="step count"):  # t_end / dt overflows
         _cfg(dt=1e-300, t_end=1e300)
+    for name in ("gamma", "dt", "t_end", "eta", "eta_c", "eta_kappa", "theta"):
+        for bad in (math.nan, math.inf, 10 ** 400):  # 10**400 is beyond the float range
+            with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+                _cfg(**{name: bad})
     with pytest.raises(ConfigError):
         _cfg(seed=-1)
     with pytest.raises(ConfigError):
@@ -89,6 +93,8 @@ def test_n_steps_rounding():
     assert _cfg(dt=0.1, t_end=0.0).n_steps == 0
     # 0.3 / 0.1 is 2.9999... in floats; rounding must still give 3
     assert _cfg(dt=0.1, t_end=0.3).n_steps == 3
+    # an int t_end beyond int64 counts like the float of the same value
+    assert _cfg(dt=0.1, t_end=10 ** 20).n_steps == _cfg(dt=0.1, t_end=1e20).n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +106,19 @@ def test_pair_blocks_walk_the_rank_order(n, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(dynamics, "_PAIR_BLOCK", block)
     cap = max(dynamics._PAIR_BLOCK, n - 1)
-    v = np.random.default_rng(n).normal(size=(n, 3))
-    # the yielded arrays are views of the walk's buffers, valid until the next block
-    blocks = [[a.copy() for a in arrays] for *arrays, _ in dynamics._PairWalk(n).blocks(v)]
+    walk = dynamics._PairWalk(n)
     iu, ju = np.triu_indices(n, k=1)
-    # the blocks are contiguous runs of the rank order
-    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), iu)
-    np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), ju)
-    for bi, bj, z, r2 in blocks:
-        np.testing.assert_array_equal(z.T, v[bi] - v[bj])
-        np.testing.assert_allclose(r2, np.sum(z * z, axis=0), rtol=1e-15, atol=0)
-        assert 0 < bi.size <= cap
+    for seed in (n, n + 1):  # the same walk twice, over two clouds
+        v = np.random.default_rng(seed).normal(size=(n, 3))
+        # the yielded arrays are views of the walk's buffers, valid until the next block
+        blocks = [[a.copy() for a in arrays] for *arrays, _ in walk.blocks(v)]
+        # the blocks are contiguous runs of the rank order
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), iu)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), ju)
+        for bi, bj, z, r2 in blocks:
+            np.testing.assert_array_equal(z.T, v[bi] - v[bj])
+            np.testing.assert_allclose(r2, np.sum(z * z, axis=0), rtol=1e-15, atol=0)
+            assert 0 < bi.size <= cap
 
 
 @pytest.mark.parametrize("n", [7, 400])  # one row block; three
