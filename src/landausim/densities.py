@@ -19,18 +19,19 @@ run over whole columns: centering at a mean, adding it to a draw, weighting
 by mixture responsibilities and joining tensor blocks go one column of n
 values at a time, because numpy broadcasts a (dim,) vector over an (n, dim)
 array, and concatenates along axis 1, one dim-element row at a time.  The
-column forms give the same bits.  The matrix products and ``einsum``
-quadratic forms see operands laid out as before: einsum's summation order
-follows its operands' layout.
+column forms give the same bits.  The quadratic forms (a Gaussian's
+centred points against ``prec``, and a Hessian form's directions) sum each
+row in one fixed order, (a0 b0 + a1 b1) + a2 b2 + ..., whatever the layout of
+the caller's arrays: the model builds both operands column-major.
 
 ``sample_blocks`` lets a consumer hold one block of a draw at a time.  Its
 blocks joined equal ``sample(rng, n)`` bit for bit, and each block is
-C-contiguous with the strides of the matching row slice of that sample, so
-einsum sums it in the same order.  A block is a view of one reused buffer,
-valid until the next block is asked for.  The base class slices the whole
-draw; a Gaussian fills each block straight from the stream (its ``sample``
-is that same fill over blocks of a whole array); a tensor power draws its
-first j - 1 factors whole and streams its last factor from its base.
+C-contiguous with the strides of the matching row slice of that sample.  A
+block is a view of one reused buffer, valid until the next block is asked
+for.  The base class slices the whole draw; a Gaussian fills each block
+straight from the stream (its ``sample`` is that same fill over blocks of a
+whole array); a tensor power draws its first j - 1 factors whole and
+streams its last factor from its base.
 """
 
 from __future__ import annotations
@@ -92,6 +93,14 @@ def _columns(n: int, dim: int):
     return np.empty((dim, n)).T
 
 
+def _prec_form(U, prec):
+    """u^T prec u for each row u of U, summed (u0 w0 + u1 w1) + u2 w2 + ...
+    with w = u prec, whatever U's layout: einsum sums in an order set by
+    its operands' layout, so both are column-major."""
+    U = np.asfortranarray(np.atleast_2d(U), dtype=float)
+    return np.einsum("ni,ni->n", np.matmul(U, prec, out=_columns(*U.shape)), U)
+
+
 def _put_rows(out, blocks):
     """Write the blocks down the rows of out, one after another.
 
@@ -140,14 +149,11 @@ class GaussianModel(DensityModel):
         self._log_norm = -0.5 * (self.dim * math.log(2.0 * math.pi) + logdet)
 
     def log_density(self, X):
-        # X - mean, column by column, laid out like X as X - mean would be:
-        # the einsum sums in an order set by that layout
         X = np.atleast_2d(X)
-        d = np.empty_like(X, dtype=float)
+        d = _columns(*X.shape)  # X - mean, column by column
         for i, m in enumerate(self.mean):
             np.subtract(X[:, i], m, out=d[:, i])
-        q = np.einsum("ni,ni->n", d @ self.prec, d)
-        return self._log_norm - 0.5 * q
+        return self._log_norm - 0.5 * _prec_form(d, self.prec)
 
     def log_grad(self, X):
         X = np.atleast_2d(X)
@@ -157,8 +163,7 @@ class GaussianModel(DensityModel):
         return d @ self.prec
 
     def log_hess_quadform(self, X, U):
-        U = np.atleast_2d(U)
-        return -np.einsum("ni,ni->n", U @ self.prec, U)
+        return -_prec_form(U, self.prec)
 
     def _fill(self, rng, block, n):
         """Draw block in place as its rows of a draw of n: mean + Z @ L^T.
@@ -239,14 +244,13 @@ class GaussianMixtureModel(DensityModel):
         # Hess log f = sum_i r_i (g_i g_i^T - P_i) - g_bar g_bar^T,
         # with g_i the component log-gradients and g_bar their r-average.
         X = np.atleast_2d(X)
-        U = np.atleast_2d(U)
+        U = np.asfortranarray(np.atleast_2d(U), dtype=float)
         r = self._responsibilities(X)
         gbar_u = np.zeros(X.shape[0])
         quad = np.zeros(X.shape[0])
         for ri, c in zip(r, self.components):
-            gi_u = np.einsum("nd,nd->n", c.log_grad(X), U)
-            pu = np.einsum("ni,ni->n", U @ c.prec, U)
-            quad += ri * (gi_u**2 - pu)
+            gi_u = np.einsum("nd,nd->n", np.asfortranarray(c.log_grad(X)), U)
+            quad += ri * (gi_u**2 - _prec_form(U, c.prec))
             gbar_u += ri * gi_u
         return quad - gbar_u**2
 

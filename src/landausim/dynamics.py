@@ -127,6 +127,11 @@ class SimConfig:
                     raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.n_particles < 2:
             raise ConfigError(f"n_particles must be an int >= 2, got {self.n_particles}")
+        try:  # maps one cloud without touching it: a size this machine cannot map is bad input
+            np.empty((self.n_particles, 3))
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"n_particles = {self.n_particles} is too large: "
+                              f"its cloud cannot be allocated ({exc})") from exc
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end >= 0:

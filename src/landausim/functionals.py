@@ -198,7 +198,6 @@ class _PairBatch:
         model, X, z, g = self._u2_inputs
         u2 = _columns(self.n, 3)
         # (b_k, -b_k), later blocks 0; column-major so fills write columns
-        # (einsum in log_hess_quadform sums in an order set by this layout)
         U = np.zeros((model.dim, self.n)).T
         for k in range(3):
             a, b = (k + 1) % 3, (k + 2) % 3

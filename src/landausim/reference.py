@@ -57,6 +57,7 @@ __all__ = [
     "maxwellian_fisher",
     "MAXWELL_ANISOTROPY_RATE",
     "maxwell_molecule_moment_ode",
+    "maxwell_step_moments",
     "matched_maxwellian",
 ]
 
@@ -137,6 +138,49 @@ def maxwell_molecule_moment_ode(P0, t) -> np.ndarray:
     dev = P0 - iso
     decay = np.exp(-MAXWELL_ANISOTROPY_RATE * t)
     return iso + decay[..., None, None] * dev
+
+
+def maxwell_step_moments(M0, n: int, dt: float, k) -> np.ndarray:
+    """E M_k after k Euler steps of n particles at gamma = 0, from M_0 = M0.
+
+    M = sum_i (v_i - vbar)(v_i - vbar)^T is the scatter matrix of the cloud
+    about its mean, which the step conserves.  With alpha = 1 and
+    z_ij = v_i - v_j, particle i's drift is -(4 dt/(n-1)) sum_j z_ij = -c u_i,
+    u_i = v_i - vbar and c = 4 n dt/(n-1), and its noise n_i has mean 0 and
+    covariance (2 dt/(n-1)) sum_j a(z_ij), a(z) = |z|^2 Id - z z^T.  Both
+    sum to 0 over i, so u_i' = (1 - c) u_i + n_i, and
+
+        E[M' | M] = (1 - c)^2 M + (2 dt/(n-1)) sum_{i != j} a(z_ij).
+
+    sum_{i != j} |z_ij|^2 = 2n tr M and sum_{i != j} z_ij z_ij^T = 2n M, so
+    the noise term is c (tr(M) Id - M) and
+
+        E[M' | M] = (1 - 3c + c^2) M + c tr(M) Id,
+
+    linear in M: E tr M_k = (1 + c^2)^k tr M_0, and the traceless part
+    dev M = M - (tr M / 3) Id scales by (1 - 3c + c^2)^k.  This holds
+    exactly for energy_mode "none", any n >= 2, any dt and any cloud, using
+    only E dB = 0 and E dB dB^T = dt Id; the expected energy about the mean
+    grows by exactly the factor 1 + c^2 per step.  As dt -> 0 at fixed t = k dt the traceless factor
+    tends to exp(-12 n t/(n-1)), the finite-n rate of the continuum flow.
+    `k` may be a scalar or an array of step counts; the result has shape
+    k.shape + (3, 3).
+    """
+    M0 = np.asarray(M0, dtype=float)
+    if M0.shape != (3, 3):
+        raise ConfigError("M0 must be a 3x3 matrix")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ConfigError(f"n must be an int >= 2, got {n!r}")
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"dt must be finite and positive, got {dt!r}")
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu" or np.any(k < 0):
+        raise ConfigError(f"k must be step counts >= 0, got {k!r}")
+    c = 4.0 * n * dt / (n - 1)
+    iso = (np.trace(M0) / 3.0) * np.eye(3)
+    grow = (1.0 + c * c) ** k
+    shrink = (1.0 - 3.0 * c + c * c) ** k
+    return grow[..., None, None] * iso + shrink[..., None, None] * (M0 - iso)
 
 
 def matched_maxwellian(points: np.ndarray):

@@ -150,6 +150,19 @@ def test_a_step_count_that_is_not_finite_exits_2_before_any_output(tmp_path, cap
         assert not out.exists()
 
 
+def test_a_cloud_that_cannot_be_allocated_exits_2_before_any_output(tmp_path, capsys):
+    # 10**15 particles are 24 PB, beyond the address space, so nothing is mapped
+    big = write_config(tmp_path / "big.json", n_particles=10**15)
+    base = write_config(tmp_path / "base.json")
+    for argv, out in ((["simulate", "--config", big], tmp_path / "r"),
+                      (["sweep", "--config", base, "--axis", "n_particles",
+                        "--values", f"8,{10**15}"], tmp_path / "s")):
+        assert cli(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_particles") and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     for argv in (["simulate", "--config", missing, "--out", tmp_path / "r"],

@@ -279,8 +279,7 @@ _STREAMED = _streamed_models()
     (2**16 + 1, _MC_BLOCK), (2**16 + 7, _MC_BLOCK)])
 @pytest.mark.parametrize("name", list(_STREAMED))
 def test_sample_blocks_join_to_the_sample(name, n, rows):
-    # einsum sums C- and F-ordered operands in different orders, so each
-    # block must also have the layout of its row slice of the whole sample
+    # each block also has the layout of its row slice of the whole sample
     model = _STREAMED[name]
     whole = model.sample(np.random.default_rng(n), n)
     parts, start = [], 0
@@ -336,9 +335,11 @@ def test_tensor_power_sample_is_the_factor_draws_side_by_side():
 
 
 def _broadcast_log_density(model, X):
-    """GaussianModel.log_density with the centering broadcast row by row."""
+    """GaussianModel.log_density with the centering broadcast row by row and
+    each row's quadratic form summed (p0 + p1) + p2, p = (d prec) * d."""
     d = np.atleast_2d(X) - model.mean
-    return model._log_norm - 0.5 * np.einsum("ni,ni->n", d @ model.prec, d)
+    p = (d @ model.prec) * d
+    return model._log_norm - 0.5 * ((p[:, 0] + p[:, 1]) + p[:, 2])
 
 
 def _broadcast_log_grad(model, X):
@@ -384,6 +385,24 @@ def test_column_log_grad_has_the_bits_of_the_broadcast_form(make_base):
     for c in getattr(base, "components", [base]):
         for X in (X6[:, 0:3], np.asfortranarray(X6[:, 3:6])):
             assert _same_bits(c.log_density(X), _broadcast_log_density(c, X))
+
+
+@pytest.mark.parametrize("make_base", [lambda: bimodal(3.0), _full_covariance_gaussian],
+                         ids=["bimodal", "full_cov_gaussian"])
+def test_quadratic_forms_have_the_same_bits_in_every_layout(make_base):
+    base = make_base()
+    X6 = TensorPower(base, 2).sample(np.random.default_rng(8), 5000)
+    U6 = np.random.default_rng(9).standard_normal((5000, 6))
+    for s in (slice(0, 3), slice(3, 6)):
+        X, U = np.ascontiguousarray(X6[:, s]), np.ascontiguousarray(U6[:, s])
+        log_f, quad = base.log_density(X), base.log_hess_quadform(X, U)
+        # C, F, and column slices of a C and of an F array of 6 columns
+        layouts = (np.ascontiguousarray, np.asfortranarray, lambda A: np.hstack([A, A])[:, 3:6],
+                   lambda A: np.asfortranarray(np.hstack([A, A]))[:, 3:6])
+        for x_in in layouts:
+            assert _same_bits(base.log_density(x_in(X)), log_f)
+            for u_in in layouts:
+                assert _same_bits(base.log_hess_quadform(x_in(X), u_in(U)), quad)
 
 
 def test_scaled_model_is_a_density(rng):
